@@ -7,11 +7,11 @@
 //! never changes, only the naive variant's absolute time scales.
 
 use membound_bench::{scale_banner, Args};
-use membound_core::experiment::{simulate_transpose, simulate_transpose_budgeted};
+use membound_core::experiment::simulate_transpose;
 use membound_core::report::{fmt_seconds, to_json, TextTable};
 use membound_core::runner::resolve_jobs;
-use membound_core::{TransposeConfig, TransposeVariant};
-use membound_sim::{Device, JobBudget};
+use membound_core::{simulate, TransposeConfig, TransposeKernel, TransposeVariant};
+use membound_sim::{Device, JobBudget, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -47,10 +47,13 @@ fn main() {
             let naive = simulate_transpose(&spec, TransposeVariant::Naive, cfg)
                 .expect("fits")
                 .seconds;
-            let dynamic =
-                simulate_transpose_budgeted(&spec, TransposeVariant::Dynamic, cfg, &budget)
-                    .expect("fits")
-                    .seconds;
+            let machine = Machine::new(spec.clone()).with_budget(budget.clone());
+            let dynamic = simulate(
+                &machine,
+                &TransposeKernel::new(TransposeVariant::Dynamic, cfg),
+            )
+            .expect("fits")
+            .seconds;
             table.row(vec![
                 device.label().into(),
                 format!("{:.1}", spec.core.mlp),

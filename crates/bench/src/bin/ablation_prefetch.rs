@@ -6,11 +6,11 @@
 //! to be prepared on time").
 
 use membound_bench::{scale_banner, Args};
-use membound_core::experiment::{simulate_blur, stream_dram_gbps_budgeted};
+use membound_core::experiment::simulate_blur;
 use membound_core::report::{to_json, TextTable};
 use membound_core::runner::resolve_jobs;
-use membound_core::BlurVariant;
-use membound_sim::{Device, JobBudget};
+use membound_core::{figures, BlurVariant, StreamKernel, StreamOp};
+use membound_sim::{Device, JobBudget, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -25,7 +25,7 @@ struct Row {
 fn main() {
     let args = Args::parse("ablation_prefetch");
     let cfg = if args.full {
-        args.blur_config()
+        figures::paper_blur(true)
     } else {
         membound_core::BlurConfig::small(507, 636)
     };
@@ -50,8 +50,10 @@ fn main() {
     for device in Device::paper() {
         let with = device.spec();
         let without = device.spec().without_prefetchers();
-        let stream_with = stream_dram_gbps_budgeted(&with, &budget);
-        let stream_without = stream_dram_gbps_budgeted(&without, &budget);
+        let triad = StreamKernel::new(StreamOp::Triad, None);
+        let stream_with = triad.measure(&Machine::new(with.clone()).with_budget(budget.clone()));
+        let stream_without =
+            triad.measure(&Machine::new(without.clone()).with_budget(budget.clone()));
         let blur_with = simulate_blur(&with, BlurVariant::UnitStride, cfg).seconds;
         let blur_without = simulate_blur(&without, BlurVariant::UnitStride, cfg).seconds;
         table.row(vec![

@@ -9,9 +9,9 @@
 
 use membound_bench::{scale_banner, Args};
 use membound_core::cache::CachedOutcome;
+use membound_core::figures;
 use membound_core::report::{fmt_seconds, fmt_speedup, to_json, BarChart, TextTable};
-use membound_core::runner::{Cell, CellOutcome, ExperimentMatrix};
-use membound_core::{TransposeConfig, TransposeVariant};
+use membound_core::runner::CellOutcome;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -27,35 +27,19 @@ struct Row {
 
 fn main() {
     let args = Args::parse("fig2_transpose");
-    let (n1, n2) = args.transpose_sizes();
+    let workloads = figures::paper_transpose(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("FIG2: in-place matrix transposition, five variants x four devices");
     println!("{}", scale_banner(args.full));
     println!("engine: {} jobs\n", engine.jobs());
 
-    let mut matrix = ExperimentMatrix::new("fig2_transpose");
-    for n in [n1, n2] {
-        let cfg = TransposeConfig::new(n);
-        for device in &devices {
-            let spec = device.spec();
-            for variant in TransposeVariant::all() {
-                matrix.push(Cell::transpose(
-                    n.to_string(),
-                    device.label(),
-                    &spec,
-                    variant,
-                    cfg,
-                ));
-            }
-        }
-    }
-    let results = args.run_matrix(&engine, &matrix);
+    let results = args.run_matrix(&engine, &figures::fig2(args.full, &devices));
 
     let mut rows = Vec::new();
     let mut cells = results.cells.iter().peekable();
-    for n in [n1, n2] {
-        let cfg = TransposeConfig::new(n);
+    for cfg in workloads {
+        let n = cfg.n;
         println!(
             "panel: {n} x {n} doubles ({} MiB matrix)",
             cfg.matrix_bytes() >> 20
@@ -143,6 +127,7 @@ fn main() {
         println!("{}", table.render());
         println!("{}", chart.render(48));
     }
+    let n2 = workloads[1].n;
     println!(
         "shape check (paper Fig. 2): every optimization step helps on every\n\
          device; the {n2}-panel has no Mango Pi bars (matrix exceeds 1 GB);\n\

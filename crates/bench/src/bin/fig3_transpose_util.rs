@@ -8,9 +8,8 @@
 //! reproduces the figure without simulating.
 
 use membound_bench::{scale_banner, Args};
+use membound_core::figures;
 use membound_core::report::{to_json, TextTable};
-use membound_core::runner::{Cell, ExperimentMatrix};
-use membound_core::{TransposeConfig, TransposeVariant};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -25,7 +24,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("fig3_transpose_util");
-    let (n1, n2) = args.transpose_sizes();
+    let workloads = figures::paper_transpose(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("FIG3: relative memory-bandwidth utilization, transposition");
@@ -34,36 +33,16 @@ fn main() {
 
     // The §3.3 denominator: each device's STREAM DRAM bandwidth,
     // measured in parallel.
-    let baselines = engine.stream_baselines(
-        &devices
-            .iter()
-            .map(|d| (d.label().to_string(), d.spec()))
-            .collect::<Vec<_>>(),
-    );
+    let baselines = engine.stream_baselines(&devices);
 
-    let mut matrix = ExperimentMatrix::new("fig3_transpose_util");
+    let mut matrix = figures::transpose_ladders("fig3_transpose_util", &workloads, &devices);
     for (label, gbps) in &baselines {
         matrix.stream_baseline(label, *gbps);
-    }
-    for n in [n1, n2] {
-        let cfg = TransposeConfig::new(n);
-        for device in &devices {
-            let spec = device.spec();
-            for variant in TransposeVariant::all() {
-                matrix.push(Cell::transpose(
-                    n.to_string(),
-                    device.label(),
-                    &spec,
-                    variant,
-                    cfg,
-                ));
-            }
-        }
     }
     let results = args.run_matrix(&engine, &matrix);
 
     let mut rows = Vec::new();
-    for n in [n1, n2] {
+    for n in workloads.map(|cfg| cfg.n) {
         println!("panel: {n} x {n}");
         let mut table = TextTable::new(
             [

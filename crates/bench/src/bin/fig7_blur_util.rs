@@ -10,8 +10,7 @@
 
 use membound_bench::{scale_banner, Args};
 use membound_core::report::{to_json, TextTable};
-use membound_core::runner::{Cell, ExperimentMatrix};
-use membound_core::BlurVariant;
+use membound_core::{figures, BlurVariant};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -24,7 +23,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("fig7_blur_util");
-    let cfg = args.blur_config();
+    let cfg = figures::paper_blur(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("FIG7: relative memory-bandwidth utilization, Gaussian blur");
@@ -37,28 +36,10 @@ fn main() {
         BlurVariant::Parallel,
     ];
 
-    let baselines = engine.stream_baselines(
-        &devices
-            .iter()
-            .map(|d| (d.label().to_string(), d.spec()))
-            .collect::<Vec<_>>(),
-    );
-    let panel = format!("{}x{}", cfg.height, cfg.width);
-    let mut matrix = ExperimentMatrix::new("fig7_blur_util");
+    let baselines = engine.stream_baselines(&devices);
+    let mut matrix = figures::blur_ladders("fig7_blur_util", cfg, &variants, &devices);
     for (label, gbps) in &baselines {
         matrix.stream_baseline(label, *gbps);
-    }
-    for device in &devices {
-        let spec = device.spec();
-        for variant in variants {
-            matrix.push(Cell::blur(
-                panel.clone(),
-                device.label(),
-                &spec,
-                variant,
-                cfg,
-            ));
-        }
     }
     let results = args.run_matrix(&engine, &matrix);
 

@@ -8,12 +8,11 @@
 //! restructuring (Memory) pays off.
 
 use membound_bench::Args;
-use membound_core::experiment::stream_dram_gbps_budgeted;
 use membound_core::report::{to_json, TextTable};
 use membound_core::roofline::{DeviceRoofline, KernelIntensity};
 use membound_core::runner::resolve_jobs;
-use membound_core::{BlurConfig, StreamOp, TransposeConfig};
-use membound_sim::{Device, JobBudget};
+use membound_core::{BlurConfig, StreamKernel, StreamOp, TransposeConfig};
+use membound_sim::{Device, JobBudget, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -56,7 +55,8 @@ fn main() {
     let budget = JobBudget::new(resolve_jobs(args.jobs));
     for device in Device::paper() {
         let spec = device.spec();
-        let stream = stream_dram_gbps_budgeted(&spec, &budget);
+        let machine = Machine::new(spec.clone()).with_budget(budget.clone());
+        let stream = StreamKernel::new(StreamOp::Triad, None).measure(&machine);
         let roof = DeviceRoofline::for_device(&spec, stream);
         for k in &kernels {
             let i = k.intensity();

@@ -16,7 +16,7 @@
 use membound_bench::{scale_banner, Args};
 use membound_core::report::{fmt_seconds, to_json, TextTable};
 use membound_core::runner::{Cell, ExperimentMatrix};
-use membound_core::BlurVariant;
+use membound_core::{figures, BlurVariant};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,19 +33,14 @@ struct Row {
 
 fn main() {
     let args = Args::parse("whatif_fused");
-    let cfg = args.blur_config();
+    let cfg = figures::paper_blur(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("WHAT-IF: fused separable blur vs the paper's Parallel variant");
     println!("{}", scale_banner(args.full));
     println!("engine: {} jobs\n", engine.jobs());
 
-    let baselines = engine.stream_baselines(
-        &devices
-            .iter()
-            .map(|d| (d.label().to_string(), d.spec()))
-            .collect::<Vec<_>>(),
-    );
+    let baselines = engine.stream_baselines(&devices);
     let panel = format!("{}x{}", cfg.height, cfg.width);
     let mut matrix = ExperimentMatrix::new("whatif_fused");
     for (label, gbps) in &baselines {

@@ -7,13 +7,13 @@
 //! model, against the paper's four devices.
 
 use membound_bench::{scale_banner, Args};
-use membound_core::experiment::{
-    simulate_blur_budgeted, simulate_transpose_budgeted, stream_dram_gbps_budgeted,
-};
 use membound_core::report::{fmt_seconds, to_json, TextTable};
 use membound_core::runner::resolve_jobs;
-use membound_core::{BlurVariant, TransposeConfig, TransposeVariant};
-use membound_sim::{future, Device, DeviceSpec, JobBudget};
+use membound_core::{
+    figures, simulate, BlurKernel, BlurVariant, StreamKernel, StreamOp, TransposeKernel,
+    TransposeVariant,
+};
+use membound_sim::{future, Device, DeviceSpec, JobBudget, Machine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -26,9 +26,11 @@ struct Row {
 
 fn main() {
     let args = Args::parse("whatif_future_devices");
-    let (n, _) = args.transpose_sizes();
-    let tcfg = TransposeConfig::new(n);
-    let bcfg = args.blur_config();
+    let dynamic = TransposeKernel::new(
+        TransposeVariant::Dynamic,
+        figures::paper_transpose(args.full)[0],
+    );
+    let parallel = BlurKernel::new(BlurVariant::Parallel, figures::paper_blur(args.full));
     println!("WHAT-IF: best-variant kernels on RISC-V successors");
     println!("{}\n", scale_banner(args.full));
 
@@ -52,11 +54,10 @@ fn main() {
     // spare for the simulator's per-core fan-out on each device.
     let budget = JobBudget::new(resolve_jobs(args.jobs));
     for spec in &specs {
-        let stream = stream_dram_gbps_budgeted(spec, &budget);
-        let transpose = simulate_transpose_budgeted(spec, TransposeVariant::Dynamic, tcfg, &budget)
-            .map(|r| r.seconds)
-            .unwrap_or(f64::NAN);
-        let blur = simulate_blur_budgeted(spec, BlurVariant::Parallel, bcfg, &budget).seconds;
+        let machine = Machine::new(spec.clone()).with_budget(budget.clone());
+        let stream = StreamKernel::new(StreamOp::Triad, None).measure(&machine);
+        let transpose = simulate(&machine, &dynamic).map_or(f64::NAN, |r| r.seconds);
+        let blur = simulate(&machine, &parallel).map_or(f64::NAN, |r| r.seconds);
         table.row(vec![
             spec.name.clone(),
             format!("{stream:.2}"),

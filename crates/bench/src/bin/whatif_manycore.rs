@@ -13,13 +13,10 @@
 use membound_bench::{scale_banner, Args};
 use membound_core::cache::CachedOutcome;
 use membound_core::report::{fmt_seconds, to_json, TextTable};
-use membound_core::runner::{Cell, CellOutcome, ExperimentMatrix};
-use membound_core::{GbmvConfig, GbmvVariant, StreamOp};
+use membound_core::runner::CellOutcome;
+use membound_core::{figures, GbmvVariant};
 use membound_sim::Device;
 use serde::Serialize;
-
-/// The core-count ladder of the comparison.
-const CORE_LADDER: [u32; 4] = [1, 4, 16, 64];
 
 #[derive(Serialize)]
 struct Row {
@@ -39,41 +36,27 @@ fn main() {
     // inventory: its point is paper boards next to the many-core parts.
     let devices = match &args.device_filter {
         None => Device::all().to_vec(),
-        Some(f) => Device::select(f).unwrap_or_else(|e| panic!("--device: {e}")),
+        Some(_) => args.devices(),
     };
-    let n = if args.full { 16384 } else { 4096 };
-    let cfg = GbmvConfig::new(n);
     let engine = args.engine();
     println!("WHAT-IF: many-core scaling, paper boards vs SG2044/Monte Cimone");
     println!("{}", scale_banner(args.full));
     println!("engine: {} jobs\n", engine.jobs());
 
-    let mut matrix = ExperimentMatrix::new("whatif_manycore");
-    for device in &devices {
-        let spec = device.spec();
-        for &cores in CORE_LADDER.iter().filter(|&&c| c <= spec.cores) {
-            let mut scaled = spec.clone();
-            scaled.cores = cores;
-            scaled.name = format!("{} @{cores}c", spec.name);
-            let label = format!("{} @{cores}c", device.label());
-            matrix.push(Cell::stream(
-                cores.to_string(),
-                &label,
-                &scaled,
-                StreamOp::Triad,
-                None,
-            ));
-            for variant in GbmvVariant::all() {
-                matrix.push(Cell::gbmv(cores.to_string(), &label, &scaled, variant, cfg));
-            }
-        }
-    }
+    let matrix = figures::manycore(figures::manycore_gbmv(args.full), &devices);
     let results = args.run_matrix(&engine, &matrix);
 
     let mut table = TextTable::new(
-        ["device", "cores", "Triad GB/s", "gbmv Naive", "gbmv Blocked", "gbmv Parallel"]
-            .map(String::from)
-            .to_vec(),
+        [
+            "device",
+            "cores",
+            "Triad GB/s",
+            "gbmv Naive",
+            "gbmv Blocked",
+            "gbmv Parallel",
+        ]
+        .map(String::from)
+        .to_vec(),
     );
     let mut rows = Vec::new();
     // Each (device, cores) point contributed 1 stream + 3 gbmv cells,

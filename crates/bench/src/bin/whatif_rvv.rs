@@ -11,7 +11,7 @@
 use membound_bench::{scale_banner, Args};
 use membound_core::experiment::simulate_blur;
 use membound_core::report::{fmt_seconds, fmt_speedup, to_json, TextTable};
-use membound_core::BlurVariant;
+use membound_core::{figures, BlurVariant};
 use membound_sim::{future, Device};
 use serde::Serialize;
 
@@ -26,7 +26,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("whatif_rvv");
-    let cfg = args.blur_config();
+    let cfg = figures::paper_blur(args.full);
     println!("WHAT-IF: RVV vectorization on the RISC-V boards (blur ladder)");
     println!("{}\n", scale_banner(args.full));
 

@@ -15,8 +15,10 @@
 
 use super::native::{horizontal_pass_row, vertical_tap_accumulate};
 use super::BlurConfig;
+use crate::kernel::{CorePlan, TracedKernel};
 use membound_image::Image;
 use membound_parallel::{Pool, Schedule, SharedSlice};
+use membound_sim::DeviceSpec;
 use membound_trace::{IterCost, TraceSink};
 use std::time::{Duration, Instant};
 
@@ -165,6 +167,50 @@ impl FusedBlurTrace {
                 sink.store_range(self.dst + (o + middle) * rb, rb);
             }
             sink.compute(cost_v, taps_v);
+        }
+    }
+}
+
+/// The fused blur as a [`TracedKernel`]: output bands split statically
+/// across `threads` simulated cores (clamped to the device's), each with
+/// its own ring buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct FusedBlurKernel {
+    /// Trace generator of the workload.
+    pub trace: FusedBlurTrace,
+    /// Requested simulated threads.
+    pub threads: u32,
+}
+
+impl FusedBlurKernel {
+    /// The fused blur of `cfg` on `threads` simulated cores.
+    #[must_use]
+    pub fn new(cfg: BlurConfig, threads: u32) -> Self {
+        Self {
+            trace: FusedBlurTrace::new(cfg),
+            threads,
+        }
+    }
+}
+
+impl TracedKernel for FusedBlurKernel {
+    type Plan = CorePlan;
+
+    fn footprint_bytes(&self) -> Option<u64> {
+        None
+    }
+
+    fn threads(&self, spec: &DeviceSpec) -> u32 {
+        self.threads.min(spec.cores).max(1)
+    }
+
+    fn plan(&self, _spec: &DeviceSpec, threads: u32) -> CorePlan {
+        Schedule::Static.plan(self.trace.output_rows(), threads, |_| 1.0)
+    }
+
+    fn emit<S: TraceSink + ?Sized>(&self, plan: &CorePlan, tid: u32, sink: &mut S) {
+        for r in &plan[tid as usize] {
+            self.trace.trace_band(sink, tid, r.start, r.end);
         }
     }
 }

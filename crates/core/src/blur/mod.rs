@@ -17,9 +17,9 @@ mod fused;
 mod native;
 mod traced;
 
-pub use fused::{blur_fused_native, FusedBlurTrace};
+pub use fused::{blur_fused_native, FusedBlurKernel, FusedBlurTrace};
 pub use native::blur_native;
-pub use traced::BlurTrace;
+pub use traced::{BlurKernel, BlurTrace};
 
 use membound_image::{Gaussian1D, Gaussian2D};
 

@@ -9,6 +9,9 @@
 //! from the "Memory" pass (one sequential stream per tap row).
 
 use super::{BlurConfig, BlurVariant};
+use crate::kernel::{CorePlan, TracedKernel};
+use membound_parallel::Schedule;
+use membound_sim::DeviceSpec;
 use membound_trace::{IterCost, TraceSink};
 
 /// Line size assumed by probe coarsening.
@@ -198,6 +201,74 @@ impl BlurTrace {
                 }
             }
             other => panic!("trace_pass2 is for the separable variants, got {other}"),
+        }
+    }
+}
+
+/// One blur variant as a [`TracedKernel`]. Sequential variants run on
+/// one simulated core; `Parallel` splits both separable passes
+/// statically across all cores with a barrier in between (two OpenMP
+/// parallel-for regions).
+#[derive(Debug, Clone, Copy)]
+pub struct BlurKernel {
+    /// Ladder variant.
+    pub variant: BlurVariant,
+    /// Trace generator of the workload.
+    pub trace: BlurTrace,
+}
+
+impl BlurKernel {
+    /// `variant` on workload `cfg`.
+    #[must_use]
+    pub fn new(variant: BlurVariant, cfg: BlurConfig) -> Self {
+        Self {
+            variant,
+            trace: BlurTrace::new(cfg),
+        }
+    }
+}
+
+impl TracedKernel for BlurKernel {
+    /// Static row splits of the first pass (all rows) and of the second
+    /// pass or the 2-D loop (output rows).
+    type Plan = [CorePlan; 2];
+
+    fn footprint_bytes(&self) -> Option<u64> {
+        None
+    }
+
+    fn threads(&self, spec: &DeviceSpec) -> u32 {
+        match self.variant {
+            BlurVariant::Parallel => spec.cores,
+            _ => 1,
+        }
+    }
+
+    fn plan(&self, _spec: &DeviceSpec, threads: u32) -> [CorePlan; 2] {
+        let rows = |total| Schedule::Static.plan(total, threads, |_| 1.0);
+        [rows(self.trace.all_rows()), rows(self.trace.output_rows())]
+    }
+
+    fn emit<S: TraceSink + ?Sized>(&self, plan: &[CorePlan; 2], tid: u32, sink: &mut S) {
+        let [pass1, pass2] = plan;
+        let (pass1, pass2) = (&pass1[tid as usize], &pass2[tid as usize]);
+        match self.variant {
+            BlurVariant::Naive | BlurVariant::UnitStride => {
+                for r in pass2 {
+                    self.trace.trace_2d(self.variant, sink, r.start, r.end);
+                }
+            }
+            BlurVariant::OneDimKernels | BlurVariant::Memory | BlurVariant::Parallel => {
+                for r in pass1 {
+                    self.trace.trace_pass1(sink, r.start, r.end);
+                }
+                if self.variant == BlurVariant::Parallel {
+                    sink.barrier();
+                }
+                for r in pass2 {
+                    self.trace.trace_pass2(self.variant, sink, r.start, r.end);
+                }
+            }
         }
     }
 }

@@ -886,8 +886,8 @@ mod tests {
                 Device::matching(device.label()).contains(&device),
                 "{device}: label must match itself"
             );
-            let by_name = Device::select(&format!("{device:?}"))
-                .unwrap_or_else(|e| panic!("{device}: {e}"));
+            let by_name =
+                Device::select(&format!("{device:?}")).unwrap_or_else(|e| panic!("{device}: {e}"));
             assert_eq!(by_name, vec![device], "{device}: preset name is unique");
 
             let spec = device.spec();

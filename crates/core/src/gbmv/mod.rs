@@ -38,7 +38,11 @@ impl GbmvVariant {
     /// All three variants in ladder order.
     #[must_use]
     pub fn all() -> [GbmvVariant; 3] {
-        [GbmvVariant::Naive, GbmvVariant::Blocked, GbmvVariant::Parallel]
+        [
+            GbmvVariant::Naive,
+            GbmvVariant::Blocked,
+            GbmvVariant::Parallel,
+        ]
     }
 
     /// The figure's bar label.
@@ -117,16 +121,20 @@ impl GbmvConfig {
         self.kl + self.ku + 1
     }
 
-    /// Bytes of the band array `ab` alone.
+    /// Bytes of the band array `ab` alone (saturating, so an absurd
+    /// order fails the memory check instead of wrapping past it).
     #[must_use]
     pub fn band_bytes(&self) -> u64 {
-        (self.diagonals() * self.n * 8) as u64
+        (self.diagonals() as u64)
+            .saturating_mul(self.n as u64)
+            .saturating_mul(8)
     }
 
     /// Total working-set footprint: `ab` plus the `x` and `y` vectors.
     #[must_use]
     pub fn footprint_bytes(&self) -> u64 {
-        self.band_bytes() + 2 * (self.n * 8) as u64
+        self.band_bytes()
+            .saturating_add((self.n as u64).saturating_mul(16))
     }
 
     /// Bytes that must move between CPU and DRAM: `ab` and `x` read

@@ -99,14 +99,14 @@ fn panel_rows(cfg: GbmvConfig, p: usize) -> (usize, usize) {
 fn naive(a: &BandMatrix, x: &[f64], y: &mut [f64]) {
     let cfg = a.config();
     let (n, kl, ku) = (cfg.n, cfg.kl, cfg.ku);
-    for i in 0..n {
+    for (i, yi) in y.iter_mut().enumerate().take(n) {
         let jlo = i.saturating_sub(kl);
         let jhi = (i + ku + 1).min(n);
         let mut acc = 0.0;
-        for j in jlo..jhi {
-            acc += a.at(ku + i - j, j) * x[j];
+        for (j, xj) in x.iter().enumerate().take(jhi).skip(jlo) {
+            acc += a.at(ku + i - j, j) * xj;
         }
-        y[i] = acc;
+        *yi = acc;
     }
 }
 

@@ -11,6 +11,8 @@
 //! [`membound_trace::IterCost`].
 
 use super::{GbmvConfig, GbmvVariant};
+use crate::kernel::{CorePlan, TracedKernel};
+use membound_sim::DeviceSpec;
 use membound_trace::{IterCost, TraceSink};
 
 /// Base virtual address of the band array `ab`.
@@ -133,9 +135,66 @@ impl GbmvTrace {
             sink.load_range(X_BASE + j0 * 8, run * 8);
             sink.access_strided_rmw(Y_BASE + i0 * 8, 8, run, 8);
             sink.compute(
-                IterCost::new(2, 2).mem(3, 1).elem_bytes(8).vectorizable(true),
+                IterCost::new(2, 2)
+                    .mem(3, 1)
+                    .elem_bytes(8)
+                    .vectorizable(true),
                 run,
             );
+        }
+    }
+}
+
+/// One `gbmv` variant as a [`TracedKernel`]: the band plus both vectors
+/// must fit in device memory, [`GbmvVariant::Parallel`] occupies every
+/// core, and outer iterations map to cores through the variant's
+/// schedule.
+#[derive(Debug, Clone, Copy)]
+pub struct GbmvKernel {
+    /// Ladder variant.
+    pub variant: GbmvVariant,
+    /// Trace generator of the workload.
+    pub trace: GbmvTrace,
+}
+
+impl GbmvKernel {
+    /// `variant` on workload `cfg`.
+    #[must_use]
+    pub fn new(variant: GbmvVariant, cfg: GbmvConfig) -> Self {
+        Self {
+            variant,
+            trace: GbmvTrace::new(cfg),
+        }
+    }
+}
+
+impl TracedKernel for GbmvKernel {
+    type Plan = CorePlan;
+
+    fn footprint_bytes(&self) -> Option<u64> {
+        Some(self.trace.config().footprint_bytes())
+    }
+
+    fn threads(&self, spec: &DeviceSpec) -> u32 {
+        if self.variant.is_parallel() {
+            spec.cores
+        } else {
+            1
+        }
+    }
+
+    fn plan(&self, _spec: &DeviceSpec, threads: u32) -> CorePlan {
+        let v = self.variant;
+        v.schedule()
+            .plan(self.trace.outer_iterations(v), threads, |i| {
+                self.trace.weight(v, i)
+            })
+    }
+
+    fn emit<S: TraceSink + ?Sized>(&self, plan: &CorePlan, tid: u32, sink: &mut S) {
+        for r in &plan[tid as usize] {
+            self.trace
+                .trace_outer(self.variant, sink, tid, r.start, r.end);
         }
     }
 }
@@ -203,12 +262,9 @@ mod tests {
             .filter(|a| a.addr >= AB_BASE && a.addr < X_BASE)
             .map(|a| a.addr)
             .collect();
-        assert_eq!(ab.len(), (cfg.kl + cfg.ku + 1) as usize);
+        assert_eq!(ab.len(), cfg.kl + cfg.ku + 1);
         for pair in ab.windows(2) {
-            assert_eq!(
-                pair[1].wrapping_sub(pair[0]) as i64,
-                8 * (1 - cfg.n as i64)
-            );
+            assert_eq!(pair[1].wrapping_sub(pair[0]) as i64, 8 * (1 - cfg.n as i64));
         }
     }
 
@@ -218,16 +274,10 @@ mod tests {
     fn compute_iters_cover_the_band_once() {
         let cfg = GbmvConfig::with_bands(100, 5, 9, 32);
         let band_elems: u64 = (0..cfg.n as u64)
-            .map(|i| {
-                (i + cfg.ku as u64 + 1).min(cfg.n as u64) - i.saturating_sub(cfg.kl as u64)
-            })
+            .map(|i| (i + cfg.ku as u64 + 1).min(cfg.n as u64) - i.saturating_sub(cfg.kl as u64))
             .sum();
         for v in GbmvVariant::all() {
-            assert_eq!(
-                trace_all(v, cfg).stats().compute_iters,
-                band_elems,
-                "{v}"
-            );
+            assert_eq!(trace_all(v, cfg).stats().compute_iters, band_elems, "{v}");
         }
     }
 

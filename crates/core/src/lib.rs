@@ -19,9 +19,12 @@
 //!    ([`transpose_native`], [`blur_native`], [`run_native_stream`]),
 //!    parallelized with `membound-parallel`'s OpenMP-style pool;
 //! 2. **simulated** — replayed as a memory-reference trace against the
-//!    device models of `membound-sim` (the [`experiment`] module), which
-//!    is how the paper's cross-device figures are regenerated without
-//!    RISC-V hardware.
+//!    device models of `membound-sim`, which is how the paper's
+//!    cross-device figures are regenerated without RISC-V hardware.
+//!    Every kernel implements the [`TracedKernel`] contract and is
+//!    replayed by [`simulate`]; the [`experiment`] module wraps the
+//!    common cases, and [`figures`] defines each figure's experiment
+//!    matrix once for the figure binaries and the daemon alike.
 //!
 //! The [`metrics`] module implements §3.3's measures (speedup over naïve,
 //! relative memory-bandwidth utilization), and [`report`] renders the
@@ -51,7 +54,9 @@
 mod blur;
 pub mod cache;
 pub mod experiment;
+pub mod figures;
 mod gbmv;
+pub mod kernel;
 mod matrix;
 pub mod metrics;
 pub mod report;
@@ -62,9 +67,20 @@ pub mod telemetry;
 mod transpose;
 
 pub use blur::{
-    blur_fused_native, blur_native, BlurConfig, BlurTrace, BlurVariant, FusedBlurTrace,
+    blur_fused_native, blur_native, BlurConfig, BlurKernel, BlurTrace, BlurVariant,
+    FusedBlurKernel, FusedBlurTrace,
 };
-pub use gbmv::{gbmv_native, traced::GbmvTrace, BandMatrix, GbmvConfig, GbmvVariant};
+pub use gbmv::{
+    gbmv_native,
+    traced::{GbmvKernel, GbmvTrace},
+    BandMatrix, GbmvConfig, GbmvVariant,
+};
+pub use kernel::{simulate, CorePlan, TracedKernel};
 pub use matrix::SquareMatrix;
-pub use stream::{run_native as run_native_stream, NativeStreamResult, StreamOp, StreamTrace};
-pub use transpose::{traced::TransposeTrace, transpose_native, TransposeConfig, TransposeVariant};
+pub use stream::{
+    run_native as run_native_stream, NativeStreamResult, StreamKernel, StreamOp, StreamTrace,
+};
+pub use transpose::{
+    traced::{TransposeKernel, TransposeTrace},
+    transpose_native, TransposeConfig, TransposeVariant,
+};

@@ -31,16 +31,16 @@
 //! simulated fields) do not depend on the job count. Only host wall
 //! times and worker counts differ.
 
-use crate::blur::{BlurConfig, BlurVariant};
+use crate::blur::{BlurConfig, BlurKernel, BlurVariant, FusedBlurKernel};
 use crate::cache::{CacheEntry, CacheKey, CachedOutcome, ResultCache};
-use crate::experiment;
-use crate::gbmv::{GbmvConfig, GbmvVariant};
+use crate::gbmv::{traced::GbmvKernel, GbmvConfig, GbmvVariant};
+use crate::kernel::{simulate, TracedKernel};
 use crate::metrics::speedup;
-use crate::stream::StreamOp;
+use crate::stream::{StreamKernel, StreamOp};
 use crate::telemetry::{self, CellRecord, PartialRunLog, RunHeader, SimRecord, StreamingRunLog};
-use crate::transpose::{traced::TransposeTrace, TransposeConfig, TransposeVariant};
+use crate::transpose::{traced::TransposeKernel, TransposeConfig, TransposeVariant};
 use membound_parallel::{Failpoint, JobBudget, Pool, Task};
-use membound_sim::{DeviceSpec, SimReport};
+use membound_sim::{Device, DeviceSpec, Machine, SimReport};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -90,35 +90,35 @@ pub fn resolve_jobs(cli: Option<u32>) -> u32 {
 /// What one cell simulates.
 #[derive(Debug, Clone)]
 pub enum CellKind {
-    /// One transpose variant ([`experiment::simulate_transpose`]).
+    /// One transpose variant ([`TransposeKernel`]).
     Transpose {
         /// Ladder variant.
         variant: TransposeVariant,
         /// Matrix workload.
         cfg: TransposeConfig,
     },
-    /// One blur variant ([`experiment::simulate_blur`]).
+    /// One blur variant ([`BlurKernel`]).
     Blur {
         /// Ladder variant.
         variant: BlurVariant,
         /// Image workload.
         cfg: BlurConfig,
     },
-    /// The fused-blur extension ([`experiment::simulate_fused_blur`]).
+    /// The fused-blur extension ([`FusedBlurKernel`]).
     FusedBlur {
         /// Image workload.
         cfg: BlurConfig,
         /// Simulated threads (clamped to the device's cores).
         threads: u32,
     },
-    /// One STREAM measurement ([`experiment::simulate_stream`]).
+    /// One STREAM measurement ([`StreamKernel`]).
     Stream {
         /// STREAM operation.
         op: StreamOp,
         /// Cache level index, or `None` for DRAM.
         level: Option<usize>,
     },
-    /// One band-matrix `gbmv` variant ([`experiment::simulate_gbmv`]).
+    /// One band-matrix `gbmv` variant ([`GbmvKernel`]).
     Gbmv {
         /// Ladder variant.
         variant: GbmvVariant,
@@ -173,6 +173,22 @@ pub struct Cell {
 }
 
 impl Cell {
+    fn new(
+        panel: impl Into<String>,
+        device: &str,
+        spec: &DeviceSpec,
+        variant: &str,
+        kind: CellKind,
+    ) -> Self {
+        Self {
+            panel: panel.into(),
+            device: device.into(),
+            variant: variant.into(),
+            spec: spec.clone(),
+            kind,
+        }
+    }
+
     /// A transpose cell.
     #[must_use]
     pub fn transpose(
@@ -182,13 +198,8 @@ impl Cell {
         variant: TransposeVariant,
         cfg: TransposeConfig,
     ) -> Self {
-        Self {
-            panel: panel.into(),
-            device: device.into(),
-            variant: variant.label().into(),
-            spec: spec.clone(),
-            kind: CellKind::Transpose { variant, cfg },
-        }
+        let kind = CellKind::Transpose { variant, cfg };
+        Self::new(panel, device, spec, variant.label(), kind)
     }
 
     /// A blur cell.
@@ -200,13 +211,8 @@ impl Cell {
         variant: BlurVariant,
         cfg: BlurConfig,
     ) -> Self {
-        Self {
-            panel: panel.into(),
-            device: device.into(),
-            variant: variant.label().into(),
-            spec: spec.clone(),
-            kind: CellKind::Blur { variant, cfg },
-        }
+        let kind = CellKind::Blur { variant, cfg };
+        Self::new(panel, device, spec, variant.label(), kind)
     }
 
     /// A fused-blur cell.
@@ -218,13 +224,8 @@ impl Cell {
         cfg: BlurConfig,
         threads: u32,
     ) -> Self {
-        Self {
-            panel: panel.into(),
-            device: device.into(),
-            variant: "Fused".into(),
-            spec: spec.clone(),
-            kind: CellKind::FusedBlur { cfg, threads },
-        }
+        let kind = CellKind::FusedBlur { cfg, threads };
+        Self::new(panel, device, spec, "Fused", kind)
     }
 
     /// A STREAM cell (`level` is a cache index, `None` for DRAM).
@@ -236,13 +237,8 @@ impl Cell {
         op: StreamOp,
         level: Option<usize>,
     ) -> Self {
-        Self {
-            panel: panel.into(),
-            device: device.into(),
-            variant: op.label().into(),
-            spec: spec.clone(),
-            kind: CellKind::Stream { op, level },
-        }
+        let kind = CellKind::Stream { op, level };
+        Self::new(panel, device, spec, op.label(), kind)
     }
 
     /// A band-matrix `gbmv` cell.
@@ -254,13 +250,8 @@ impl Cell {
         variant: GbmvVariant,
         cfg: GbmvConfig,
     ) -> Self {
-        Self {
-            panel: panel.into(),
-            device: device.into(),
-            variant: variant.label().into(),
-            spec: spec.clone(),
-            kind: CellKind::Gbmv { variant, cfg },
-        }
+        let kind = CellKind::Gbmv { variant, cfg };
+        Self::new(panel, device, spec, variant.label(), kind)
     }
 
     /// Key of the speedup ladder this cell belongs to.
@@ -274,30 +265,25 @@ impl Cell {
     /// byte-identical reports, so the engine runs one and reuses the
     /// result for the other (in-run dedupe).
     ///
-    /// For transpose cells the identity is *weaker than the variant
-    /// label*: it is the generator arm `trace_outer` dispatches to plus
-    /// the planned per-thread iteration ranges (adjacent ranges merged —
-    /// the generator is invoked per range back to back, so only the
-    /// concatenation reaches the sink). On a single-core device this
-    /// collapses `Parallel` onto `Naive` and `Dynamic` onto
-    /// `Manual_blocking`, which the figure tables show as genuinely
-    /// identical rows. Every other kind keeps its full
+    /// For transpose cells that fit the device the identity is *weaker
+    /// than the variant label*: it is the generator arm `trace_outer`
+    /// dispatches to plus the kernel's per-thread iteration ranges
+    /// (adjacent ranges merged — the generator is invoked per range back
+    /// to back, so only the concatenation reaches the sink). On a
+    /// single-core device this collapses `Parallel` onto `Naive` and
+    /// `Dynamic` onto `Manual_blocking`, which the figure tables show as
+    /// genuinely identical rows. Every other cell keeps its full
     /// (kernel, variant, workload) identity, so only literal duplicates
     /// dedupe.
     fn trace_identity(&self) -> String {
         let device = serde_json::to_string(&self.spec).expect("device spec serializes");
         match &self.kind {
-            CellKind::Transpose { variant, cfg } => {
-                let threads = if variant.is_parallel() {
-                    self.spec.cores
-                } else {
-                    1
-                };
-                let trace = TransposeTrace::new(*cfg);
-                let total = trace.outer_iterations(*variant);
-                let plan = variant
-                    .schedule()
-                    .plan(total, threads, |i| trace.weight(*variant, i));
+            CellKind::Transpose { variant, cfg }
+                if TransposeKernel::new(*variant, *cfg).fits(&self.spec) =>
+            {
+                let kernel = TransposeKernel::new(*variant, *cfg);
+                let threads = kernel.threads(&self.spec);
+                let plan = kernel.plan(&self.spec, threads);
                 // The arm of `TransposeTrace::trace_outer` the variant
                 // selects; variants sharing an arm differ only in their
                 // schedule, which the plan below captures.
@@ -306,28 +292,21 @@ impl Cell {
                     TransposeVariant::Blocking => "blocked",
                     TransposeVariant::ManualBlocking | TransposeVariant::Dynamic => "manual",
                 };
-                let mut ranges = String::new();
-                for (tid, thread_plan) in plan.iter().enumerate() {
-                    use std::fmt::Write;
-                    let _ = write!(ranges, "t{tid}:");
-                    let mut merged: Option<std::ops::Range<u64>> = None;
-                    for r in thread_plan {
-                        match &mut merged {
-                            Some(m) if m.end == r.start => m.end = r.end,
-                            Some(m) => {
-                                let _ = write!(ranges, "{}-{},", m.start, m.end);
-                                merged = Some(r.clone());
+                let merged: Vec<Vec<std::ops::Range<u64>>> = plan
+                    .iter()
+                    .map(|ranges| {
+                        let mut out: Vec<std::ops::Range<u64>> = Vec::new();
+                        for r in ranges {
+                            match out.last_mut() {
+                                Some(m) if m.end == r.start => m.end = r.end,
+                                _ => out.push(r.clone()),
                             }
-                            None => merged = Some(r.clone()),
                         }
-                    }
-                    if let Some(m) = merged {
-                        let _ = write!(ranges, "{}-{},", m.start, m.end);
-                    }
-                    ranges.push(';');
-                }
+                        out
+                    })
+                    .collect();
                 format!(
-                    "transpose:{arm}:n={},block={},threads={threads},plan={ranges}|{device}",
+                    "transpose:{arm}:n={},block={},threads={threads},plan={merged:?}|{device}",
                     cfg.n, cfg.block
                 )
             }
@@ -988,28 +967,31 @@ impl Engine {
     /// baseline would silently zero every utilization figure on that
     /// device, which is far harder to notice than a missing bar.
     #[must_use]
-    pub fn stream_baselines(&self, devices: &[(String, DeviceSpec)]) -> Vec<(String, f64)> {
+    pub fn stream_baselines(&self, devices: &[Device]) -> Vec<(String, f64)> {
         let budget = JobBudget::new(self.jobs);
         let outer = budget.lease((devices.len() as u32).min(self.jobs).max(1));
         let pool = Pool::new(outer.granted().max(1));
         let budget_ref = &budget;
         let tasks: Vec<Task<'_, f64>> = devices
             .iter()
-            .map(|(_, spec)| {
-                let b: Task<'_, f64> =
-                    Box::new(move || experiment::stream_dram_gbps_budgeted(spec, budget_ref));
+            .map(|device| {
+                let b: Task<'_, f64> = Box::new(move || {
+                    let machine = Machine::new(device.spec()).with_budget(budget_ref.clone());
+                    StreamKernel::new(StreamOp::Triad, None).measure(&machine)
+                });
                 b
             })
             .collect();
         pool.run_tasks(tasks)
             .into_iter()
             .zip(devices)
-            .filter_map(|(r, (label, _))| match r {
-                Ok(gbps) => Some((label.clone(), gbps)),
+            .filter_map(|(r, device)| match r {
+                Ok(gbps) => Some((device.label().to_string(), gbps)),
                 Err(panic) => {
                     eprintln!(
-                        "warning: STREAM baseline for device {label:?} panicked \
-                         ({panic:?}); skipping its bandwidth-utilization metric"
+                        "warning: STREAM baseline for device {:?} panicked \
+                         ({panic:?}); skipping its bandwidth-utilization metric",
+                        device.label()
                     );
                     None
                 }
@@ -1019,29 +1001,23 @@ impl Engine {
 }
 
 fn execute(cell: &Cell, budget: &JobBudget) -> CellOutcome {
-    match &cell.kind {
+    let machine = Machine::new(cell.spec.clone()).with_budget(budget.clone());
+    let report = match &cell.kind {
         CellKind::Transpose { variant, cfg } => {
-            match experiment::simulate_transpose_budgeted(&cell.spec, *variant, *cfg, budget) {
-                Some(report) => CellOutcome::Report(Box::new(report)),
-                None => CellOutcome::DoesNotFit,
-            }
+            simulate(&machine, &TransposeKernel::new(*variant, *cfg))
         }
-        CellKind::Blur { variant, cfg } => CellOutcome::Report(Box::new(
-            experiment::simulate_blur_budgeted(&cell.spec, *variant, *cfg, budget),
-        )),
-        CellKind::FusedBlur { cfg, threads } => CellOutcome::Report(Box::new(
-            experiment::simulate_fused_blur_budgeted(&cell.spec, *cfg, *threads, budget),
-        )),
-        CellKind::Stream { op, level } => CellOutcome::Gbps(experiment::simulate_stream_budgeted(
-            &cell.spec, *op, *level, budget,
-        )),
-        CellKind::Gbmv { variant, cfg } => {
-            match experiment::simulate_gbmv_budgeted(&cell.spec, *variant, *cfg, budget) {
-                Some(report) => CellOutcome::Report(Box::new(report)),
-                None => CellOutcome::DoesNotFit,
-            }
+        CellKind::Blur { variant, cfg } => simulate(&machine, &BlurKernel::new(*variant, *cfg)),
+        CellKind::FusedBlur { cfg, threads } => {
+            simulate(&machine, &FusedBlurKernel::new(*cfg, *threads))
         }
-    }
+        CellKind::Gbmv { variant, cfg } => simulate(&machine, &GbmvKernel::new(*variant, *cfg)),
+        CellKind::Stream { op, level } => {
+            return CellOutcome::Gbps(StreamKernel::new(*op, *level).measure(&machine))
+        }
+    };
+    report.map_or(CellOutcome::DoesNotFit, |r| {
+        CellOutcome::Report(Box::new(r))
+    })
 }
 
 /// Run one cell under the retry/deadline policy. Returns the outcome,
@@ -1519,19 +1495,8 @@ mod tests {
     use membound_sim::Device;
 
     fn small_matrix() -> ExperimentMatrix {
-        let mut matrix = ExperimentMatrix::new("test_matrix");
-        let spec = Device::MangoPiMqPro.spec();
         let cfg = TransposeConfig::with_block(128, 16);
-        for variant in TransposeVariant::all() {
-            matrix.push(Cell::transpose(
-                "128",
-                Device::MangoPiMqPro.label(),
-                &spec,
-                variant,
-                cfg,
-            ));
-        }
-        matrix
+        crate::figures::transpose_ladders("test_matrix", &[cfg], &[Device::MangoPiMqPro])
     }
 
     #[test]

@@ -20,7 +20,8 @@ mod native;
 mod traced;
 
 pub use native::{run_native, NativeStreamResult};
-pub use traced::StreamTrace;
+pub(crate) use traced::{cache_level_elements, dram_level_elements};
+pub use traced::{StreamKernel, StreamTrace};
 
 use serde::{Deserialize, Serialize};
 

@@ -1,6 +1,8 @@
-//! Trace generator for the STREAM tests.
+//! Trace generator and per-level sizing for the STREAM tests.
 
 use super::StreamOp;
+use crate::kernel::{simulate, TracedKernel};
+use membound_sim::{DeviceSpec, Machine, SimReport};
 use membound_trace::{IterCost, TraceSink};
 
 /// Line size used for probe interleaving (all modelled devices use 64 B).
@@ -85,6 +87,148 @@ impl StreamTrace {
             i = chunk_end;
         }
         sink.compute(self.iter_cost(), hi - lo);
+    }
+}
+
+/// Number of timed passes per STREAM measurement (after one warm-up).
+const STREAM_PASSES: usize = 3;
+
+/// Array sizing for a cache level: ~3/4 of capacity across all arrays.
+pub(crate) fn cache_level_elements(level_bytes: u64, arrays: u64) -> u64 {
+    ((level_bytes * 3 / 4) / (arrays * 8)).max(64)
+}
+
+/// Per-thread array sizing for a *shared* cache level: 3/4 of the
+/// per-core capacity share, but at least 1.5× the level above so the
+/// arrays cannot linger there (when a shared level's per-core share is
+/// barely larger than the private level above it — the Xeon's L3 slice vs
+/// its L2 — the measurement inevitably blends in some next-level traffic,
+/// exactly as on the real part).
+fn shared_level_elements(spec: &DeviceSpec, k: usize, threads: u64, arrays: u64) -> u64 {
+    let share = spec.caches[k].size_bytes / threads;
+    let above = if k > 0 {
+        spec.caches[k - 1].size_bytes
+    } else {
+        0
+    };
+    let footprint = (share * 3 / 4).max(above * 3 / 2);
+    (footprint / (arrays * 8)).max(64)
+}
+
+/// Per-thread array sizing for the DRAM level: every *individual* array
+/// must comfortably exceed a core's total cache share, or steady-state
+/// passes keep the store target resident and dodge its write-allocate and
+/// write-back traffic.
+pub(crate) fn dram_level_elements(spec: &DeviceSpec, arrays: u64) -> u64 {
+    let total_cache: u64 = spec.caches.iter().map(|c| c.size_bytes).sum();
+    let per_core_cache = total_cache / u64::from(spec.cores);
+    let per_array = (3 * per_core_cache)
+        .max(3 << 20)
+        .min(spec.dram_capacity_bytes / (2 * u64::from(spec.cores) * arrays));
+    (per_array / 8).max(1024)
+}
+
+/// One STREAM measurement against one memory level, as a
+/// [`TracedKernel`].
+///
+/// Private cache levels are measured on one core (and the bandwidth
+/// scaled by the core count, as §4.1 prescribes); shared levels and
+/// DRAM are measured with every core active. Each simulated core streams
+/// its own slice of logically shared arrays — one warm-up pass plus
+/// three timed passes, a barrier after each.
+#[derive(Debug, Clone, Copy)]
+pub struct StreamKernel {
+    /// STREAM operation.
+    pub op: StreamOp,
+    /// Cache level index (0 = L1), or `None` for DRAM.
+    pub level: Option<usize>,
+}
+
+impl StreamKernel {
+    /// `op` against memory level `level` (`None` = DRAM).
+    #[must_use]
+    pub fn new(op: StreamOp, level: Option<usize>) -> Self {
+        Self { op, level }
+    }
+
+    /// Whether the level is private: measured on one core and scaled.
+    fn private(&self, spec: &DeviceSpec) -> bool {
+        self.level.is_some_and(|k| !spec.caches[k].shared)
+    }
+
+    /// Array elements each simulated core streams on `spec`.
+    fn elements_per_thread(&self, spec: &DeviceSpec) -> u64 {
+        let arrays = u64::from(self.op.arrays_used());
+        match self.level {
+            Some(k) if spec.caches[k].shared => {
+                shared_level_elements(spec, k, u64::from(spec.cores), arrays)
+            }
+            Some(k) => cache_level_elements(spec.caches[k].size_bytes, arrays),
+            None => dram_level_elements(spec, arrays),
+        }
+    }
+
+    /// Bandwidth in GB/s of `report`, a replay of this kernel on
+    /// `spec`: STREAM's nominal bytes over the best steady-state pass
+    /// (the cold warm-up phase is skipped, as STREAM itself does).
+    fn gbps(&self, spec: &DeviceSpec, report: &SimReport) -> f64 {
+        let freq = spec.core.freq_ghz * 1e9;
+        let best_phase_seconds = report
+            .phases
+            .iter()
+            .skip(1)
+            .map(|p| p.cycles / freq)
+            .filter(|&s| s > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        if !best_phase_seconds.is_finite() {
+            return 0.0;
+        }
+        let scale = if self.private(spec) {
+            f64::from(spec.cores)
+        } else {
+            1.0
+        };
+        let elements = self.elements_per_thread(spec) * u64::from(self.threads(spec));
+        self.op.nominal_bytes(elements) as f64 / best_phase_seconds / 1e9 * scale
+    }
+
+    /// Replay on `machine` and return the bandwidth in GB/s.
+    #[must_use]
+    pub fn measure(&self, machine: &Machine) -> f64 {
+        let report = simulate(machine, self).expect("STREAM arrays are sized to the device");
+        self.gbps(machine.spec(), &report)
+    }
+}
+
+impl TracedKernel for StreamKernel {
+    /// The trace over every core's slice, and the slice length.
+    type Plan = (StreamTrace, u64);
+
+    fn footprint_bytes(&self) -> Option<u64> {
+        None
+    }
+
+    fn threads(&self, spec: &DeviceSpec) -> u32 {
+        if self.private(spec) {
+            1
+        } else {
+            spec.cores
+        }
+    }
+
+    fn plan(&self, spec: &DeviceSpec, threads: u32) -> (StreamTrace, u64) {
+        let per_thread = self.elements_per_thread(spec);
+        let trace = StreamTrace::new(self.op, per_thread * u64::from(threads));
+        (trace, per_thread)
+    }
+
+    fn emit<S: TraceSink + ?Sized>(&self, plan: &(StreamTrace, u64), tid: u32, sink: &mut S) {
+        let (trace, per_thread) = plan;
+        let lo = u64::from(tid) * per_thread;
+        for _pass in 0..=STREAM_PASSES {
+            trace.trace_pass(sink, lo, lo + per_thread);
+            sink.barrier();
+        }
     }
 }
 

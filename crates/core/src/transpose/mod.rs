@@ -116,10 +116,12 @@ impl TransposeConfig {
         Self { n, block }
     }
 
-    /// Matrix footprint in bytes.
+    /// Matrix footprint in bytes (saturating, so an absurd size fails
+    /// the memory check instead of wrapping past it).
     #[must_use]
     pub fn matrix_bytes(&self) -> u64 {
-        (self.n * self.n * 8) as u64
+        let n = self.n as u64;
+        n.saturating_mul(n).saturating_mul(8)
     }
 
     /// Bytes that must move between CPU and DRAM: every element is read

@@ -12,6 +12,8 @@
 //! probe coarsening does not distort timing.
 
 use super::{TransposeConfig, TransposeVariant};
+use crate::kernel::{CorePlan, TracedKernel};
+use membound_sim::DeviceSpec;
 use membound_trace::{IterCost, TraceSink};
 
 /// Line size assumed by probe coarsening (all four devices use 64 B).
@@ -212,6 +214,59 @@ impl TransposeTrace {
         // copies, one swap and two in-buffer transposes.
         let elems = bh * bw;
         sink.compute(IterCost::new(6, 0).mem(4, 4).elem_bytes(8), elems);
+    }
+}
+
+/// One transposition variant as a [`TracedKernel`]: the matrix must fit
+/// in device memory, the parallel variants occupy every core, and outer
+/// iterations map to cores through the variant's schedule.
+#[derive(Debug, Clone, Copy)]
+pub struct TransposeKernel {
+    /// Ladder variant.
+    pub variant: TransposeVariant,
+    /// Trace generator of the workload.
+    pub trace: TransposeTrace,
+}
+
+impl TransposeKernel {
+    /// `variant` on workload `cfg`.
+    #[must_use]
+    pub fn new(variant: TransposeVariant, cfg: TransposeConfig) -> Self {
+        Self {
+            variant,
+            trace: TransposeTrace::new(cfg),
+        }
+    }
+}
+
+impl TracedKernel for TransposeKernel {
+    type Plan = CorePlan;
+
+    fn footprint_bytes(&self) -> Option<u64> {
+        Some(self.trace.config().matrix_bytes())
+    }
+
+    fn threads(&self, spec: &DeviceSpec) -> u32 {
+        if self.variant.is_parallel() {
+            spec.cores
+        } else {
+            1
+        }
+    }
+
+    fn plan(&self, _spec: &DeviceSpec, threads: u32) -> CorePlan {
+        let v = self.variant;
+        v.schedule()
+            .plan(self.trace.outer_iterations(v), threads, |i| {
+                self.trace.weight(v, i)
+            })
+    }
+
+    fn emit<S: TraceSink + ?Sized>(&self, plan: &CorePlan, tid: u32, sink: &mut S) {
+        for r in &plan[tid as usize] {
+            self.trace
+                .trace_outer(self.variant, sink, tid, r.start, r.end);
+        }
     }
 }
 

@@ -26,27 +26,18 @@
 use membound_core::cache::{self, ResultCache};
 use membound_core::runner::{Cell, CellOutcome, Engine, ExperimentMatrix, RunOptions, RunResults};
 use membound_core::telemetry::{parse_partial_run_log, validate_run_log};
-use membound_core::{TransposeConfig, TransposeVariant};
+use membound_core::{figures, TransposeConfig, TransposeVariant};
 use membound_parallel::Failpoint;
 use membound_sim::Device;
 use proptest::prelude::*;
 
 /// A two-panel transpose ladder on the Mango Pi: 10 cells, all fast.
 fn ladder_matrix() -> ExperimentMatrix {
-    let mut matrix = ExperimentMatrix::new("crash_resume_test");
-    let spec = Device::MangoPiMqPro.spec();
-    for n in [96usize, 128] {
-        let cfg = TransposeConfig::with_block(n, 16);
-        for variant in TransposeVariant::all() {
-            matrix.push(Cell::transpose(
-                n.to_string(),
-                Device::MangoPiMqPro.label(),
-                &spec,
-                variant,
-                cfg,
-            ));
-        }
-    }
+    let mut matrix = figures::transpose_ladders(
+        "crash_resume_test",
+        &figures::transpose_sizes(&[96, 128], 16).unwrap(),
+        &[Device::MangoPiMqPro],
+    );
     matrix.stream_baseline(Device::MangoPiMqPro.label(), 2.0);
     matrix
 }
@@ -747,20 +738,5 @@ fn lost_rename_and_leftover_temp_are_survivable() {
 /// The ladder's cells in reverse order — same figure name and count,
 /// different per-index identity.
 fn ladder_matrix_cells_reversed() -> Vec<Cell> {
-    let spec = Device::MangoPiMqPro.spec();
-    let mut cells = Vec::new();
-    for n in [96usize, 128] {
-        let cfg = TransposeConfig::with_block(n, 16);
-        for variant in TransposeVariant::all() {
-            cells.push(Cell::transpose(
-                n.to_string(),
-                Device::MangoPiMqPro.label(),
-                &spec,
-                variant,
-                cfg,
-            ));
-        }
-    }
-    cells.reverse();
-    cells
+    ladder_matrix().cells().iter().rev().cloned().collect()
 }

@@ -161,8 +161,8 @@ proptest! {
         }
     }
 
-    /// Synthetic generators report consistent footprints (sanity link
-    /// between the trace and program layers used by the experiments).
+    /// A STREAM pass split on a line boundary emits exactly the probes
+    /// of the whole pass.
     #[test]
     fn stream_trace_is_range_splittable_at_line_boundaries(
         op_idx in 0usize..4,

@@ -8,27 +8,17 @@
 
 use membound_core::runner::{Cell, CellOutcome, Engine, ExperimentMatrix};
 use membound_core::telemetry::validate_run_log;
-use membound_core::{TransposeConfig, TransposeVariant};
+use membound_core::{figures, TransposeConfig, TransposeVariant};
 use membound_sim::Device;
 use proptest::prelude::*;
 
 /// The full transpose ladder on every device whose memory fits `n`.
 fn ladder_matrix(n: usize, block: usize) -> ExperimentMatrix {
-    let mut matrix = ExperimentMatrix::new("runner_parallel_test");
-    let cfg = TransposeConfig::with_block(n, block);
-    for device in Device::all() {
-        let spec = device.spec();
-        for variant in TransposeVariant::all() {
-            matrix.push(Cell::transpose(
-                n.to_string(),
-                device.label(),
-                &spec,
-                variant,
-                cfg,
-            ));
-        }
-    }
-    matrix
+    figures::transpose_ladders(
+        "runner_parallel_test",
+        &[TransposeConfig::with_block(n, block)],
+        Device::all(),
+    )
 }
 
 /// Everything a cell result claims about the *simulation* (host wall

@@ -1,19 +1,14 @@
 //! What a submitted job simulates.
 //!
 //! A [`JobSpec`] is the wire-side description of one experiment matrix.
-//! Its [`JobSpec::matrix`] constructor replicates the corresponding
-//! figure binary's matrix-building loop *statement for statement*
-//! (`crates/bench/src/bin/fig2_transpose.rs`, `fig6_blur.rs`), because
-//! the determinism contract of the daemon is digest equality with the
-//! one-shot binaries: same cells in the same order, same workload
-//! configs, same device sweep — hence the same canonical combined
-//! digest.
+//! [`JobSpec::matrix`] builds it through `membound_core::figures`, the
+//! same functions the figure binaries call, so the daemon's determinism
+//! contract — digest equality with the one-shot binaries — holds by
+//! construction: same cells in the same order, same workload configs,
+//! same device sweep, hence the same canonical combined digest.
 
-use membound_core::runner::{Cell, ExperimentMatrix};
-use membound_core::{
-    BlurConfig, BlurVariant, GbmvConfig, GbmvVariant, TransposeConfig, TransposeVariant,
-};
-use membound_sim::Device;
+use membound_core::figures;
+use membound_core::runner::ExperimentMatrix;
 use serde::{Deserialize, Serialize};
 
 /// One job's experiment matrix, as submitted over the wire.
@@ -28,7 +23,7 @@ pub enum JobSpec {
         /// Paper-scale sizes (8192/16384) instead of the scaled-down
         /// defaults (2048/4096).
         full: bool,
-        /// Device filter ([`Device::select`]); `None` sweeps the paper boards.
+        /// Device filter ([`figures::devices`]); `None` sweeps the paper boards.
         device: Option<String>,
     },
     /// The Fig. 6/7 Gaussian-blur matrix: devices × the five-variant
@@ -37,7 +32,7 @@ pub enum JobSpec {
         /// The paper's 2544×2027 image instead of the half-resolution
         /// default.
         full: bool,
-        /// Device filter ([`Device::select`]); `None` sweeps the paper boards.
+        /// Device filter ([`figures::devices`]); `None` sweeps the paper boards.
         device: Option<String>,
     },
     /// The band-matrix `gbmv` ladder: caller-chosen orders, the
@@ -46,7 +41,7 @@ pub enum JobSpec {
     GbmvLadder {
         /// Matrix orders (one panel per order).
         sizes: Vec<usize>,
-        /// Device filter ([`Device::select`]); `None` sweeps the paper boards.
+        /// Device filter ([`figures::devices`]); `None` sweeps the paper boards.
         device: Option<String>,
     },
     /// An ad-hoc transposition ladder: caller-chosen sizes and block,
@@ -58,189 +53,69 @@ pub enum JobSpec {
         sizes: Vec<usize>,
         /// Blocking factor for the blocked variants.
         block: usize,
-        /// Device filter ([`Device::select`]); `None` sweeps the paper boards.
+        /// Device filter ([`figures::devices`]); `None` sweeps the paper boards.
         device: Option<String>,
     },
 }
 
 impl JobSpec {
-    /// Resolve the device axis: `None` sweeps the four paper boards
-    /// (the canonical figure matrices are pinned to that sweep), a
-    /// filter goes through [`Device::select`] — loose, case- and
-    /// punctuation-insensitive, with a comma-separated exact-set syntax
-    /// for intentional multi-select.
-    ///
-    /// # Errors
-    ///
-    /// A filter matching no device, or ambiguously matching several,
-    /// names the filter and the candidates instead of silently running
-    /// a different matrix than the client asked for.
-    fn devices(filter: Option<&str>) -> Result<Vec<Device>, String> {
-        let Some(filter) = filter else {
-            return Ok(Device::paper().to_vec());
-        };
-        Device::select(filter)
-    }
-
     /// Build the experiment matrix this spec describes — cell for cell
-    /// the matrix the corresponding figure binary would run, so the
-    /// served digest is the one-shot digest.
+    /// the matrix the corresponding figure binary runs, so the served
+    /// digest is the one-shot digest.
     ///
     /// # Errors
     ///
-    /// A device filter matching nothing, or a degenerate ladder (no
-    /// sizes / zero block), is a submission error the server reports
-    /// back instead of running.
+    /// A device filter matching nothing (or ambiguously), or a ladder
+    /// `figures` rejects (no sizes, a zero size or block, a byte count
+    /// that overflows), is a submission error the server reports back
+    /// instead of running.
     pub fn matrix(&self) -> Result<ExperimentMatrix, String> {
-        match self {
+        Ok(match self {
             JobSpec::Fig2 { full, device } => {
-                let devices = Self::devices(device.as_deref())?;
-                let (n1, n2) = if *full { (8192, 16384) } else { (2048, 4096) };
-                let mut matrix = ExperimentMatrix::new("fig2_transpose");
-                for n in [n1, n2] {
-                    let cfg = TransposeConfig::new(n);
-                    for device in &devices {
-                        let spec = device.spec();
-                        for variant in TransposeVariant::all() {
-                            matrix.push(Cell::transpose(
-                                n.to_string(),
-                                device.label(),
-                                &spec,
-                                variant,
-                                cfg,
-                            ));
-                        }
-                    }
-                }
-                Ok(matrix)
+                figures::fig2(*full, &figures::devices(device.as_deref())?)
             }
             JobSpec::Fig6 { full, device } => {
-                let devices = Self::devices(device.as_deref())?;
-                let cfg = if *full {
-                    BlurConfig::paper()
-                } else {
-                    BlurConfig::small(1013, 1272)
-                };
-                let panel = format!("{}x{}", cfg.height, cfg.width);
-                let mut matrix = ExperimentMatrix::new("fig6_blur");
-                for device in &devices {
-                    let spec = device.spec();
-                    for variant in BlurVariant::all() {
-                        matrix.push(Cell::blur(
-                            panel.clone(),
-                            device.label(),
-                            &spec,
-                            variant,
-                            cfg,
-                        ));
-                    }
-                }
-                Ok(matrix)
+                figures::fig6(*full, &figures::devices(device.as_deref())?)
             }
-            JobSpec::GbmvLadder { sizes, device } => {
-                if sizes.is_empty() {
-                    return Err("gbmv ladder needs at least one order".into());
-                }
-                if let Some(&n) = sizes.iter().find(|&&n| n <= 64) {
-                    // GbmvConfig::new's symmetric bandwidth is 64 and the
-                    // band layout needs kl, ku < n.
-                    return Err(format!("gbmv order {n} must exceed the bandwidth (64)"));
-                }
-                let devices = Self::devices(device.as_deref())?;
-                let mut matrix = ExperimentMatrix::new("gbmv_ladder");
-                for &n in sizes {
-                    let cfg = GbmvConfig::new(n);
-                    for device in &devices {
-                        let spec = device.spec();
-                        for variant in GbmvVariant::all() {
-                            matrix.push(Cell::gbmv(
-                                n.to_string(),
-                                device.label(),
-                                &spec,
-                                variant,
-                                cfg,
-                            ));
-                        }
-                    }
-                }
-                Ok(matrix)
-            }
+            JobSpec::GbmvLadder { sizes, device } => figures::gbmv_ladders(
+                "gbmv_ladder",
+                &figures::gbmv_sizes(sizes)?,
+                &figures::devices(device.as_deref())?,
+            ),
             JobSpec::TransposeLadder {
                 sizes,
                 block,
                 device,
-            } => {
-                if sizes.is_empty() {
-                    return Err("transpose ladder needs at least one size".into());
-                }
-                if *block == 0 {
-                    return Err("transpose ladder block must be positive".into());
-                }
-                let devices = Self::devices(device.as_deref())?;
-                let mut matrix = ExperimentMatrix::new("transpose_ladder");
-                for &n in sizes {
-                    let cfg = TransposeConfig::with_block(n, *block);
-                    for device in &devices {
-                        let spec = device.spec();
-                        for variant in TransposeVariant::all() {
-                            matrix.push(Cell::transpose(
-                                n.to_string(),
-                                device.label(),
-                                &spec,
-                                variant,
-                                cfg,
-                            ));
-                        }
-                    }
-                }
-                Ok(matrix)
-            }
-        }
+            } => figures::transpose_ladders(
+                "transpose_ladder",
+                &figures::transpose_sizes(sizes, *block)?,
+                &figures::devices(device.as_deref())?,
+            ),
+        })
     }
 
     /// Short human label for the job table (`serve status`).
     #[must_use]
     pub fn label(&self) -> String {
-        let (name, full, device) = match self {
-            JobSpec::Fig2 { full, device } => ("fig2_transpose", *full, device),
-            JobSpec::Fig6 { full, device } => ("fig6_blur", *full, device),
-            JobSpec::GbmvLadder { sizes, device } => {
-                return format!(
-                    "gbmv_ladder[{}]{}",
-                    sizes
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    device
-                        .as_deref()
-                        .map(|d| format!(" @{d}"))
-                        .unwrap_or_default()
-                );
-            }
-            JobSpec::TransposeLadder { sizes, device, .. } => {
-                return format!(
-                    "transpose_ladder[{}]{}",
-                    sizes
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    device
-                        .as_deref()
-                        .map(|d| format!(" @{d}"))
-                        .unwrap_or_default()
-                );
-            }
+        let full = |full: &bool| if *full { " --full" } else { "" };
+        let sizes = |sizes: &[usize]| {
+            let sizes: Vec<String> = sizes.iter().map(ToString::to_string).collect();
+            sizes.join(",")
         };
-        format!(
-            "{name}{}{}",
-            if full { " --full" } else { "" },
-            device
-                .as_deref()
-                .map(|d| format!(" @{d}"))
-                .unwrap_or_default()
-        )
+        let (name, device) = match self {
+            JobSpec::Fig2 { full: f, device } => (format!("fig2_transpose{}", full(f)), device),
+            JobSpec::Fig6 { full: f, device } => (format!("fig6_blur{}", full(f)), device),
+            JobSpec::GbmvLadder { sizes: s, device } => {
+                (format!("gbmv_ladder[{}]", sizes(s)), device)
+            }
+            JobSpec::TransposeLadder {
+                sizes: s, device, ..
+            } => (format!("transpose_ladder[{}]", sizes(s)), device),
+        };
+        match device {
+            Some(d) => format!("{name} @{d}"),
+            None => name,
+        }
     }
 }
 
@@ -307,20 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_gbmv_ladders_are_rejected() {
-        let none = JobSpec::GbmvLadder {
-            sizes: vec![],
-            device: None,
-        };
-        assert!(none.matrix().unwrap_err().contains("at least one order"));
-        let tiny = JobSpec::GbmvLadder {
-            sizes: vec![512, 64],
-            device: None,
-        };
-        assert!(tiny.matrix().unwrap_err().contains("bandwidth"));
-    }
-
-    #[test]
     fn unknown_device_filter_is_a_submission_error() {
         let spec = JobSpec::Fig2 {
             full: false,
@@ -331,20 +192,37 @@ mod tests {
         assert!(err.contains("Mango Pi"), "{err}");
     }
 
+    /// Degenerate ladders, and sizes that used to panic inside the
+    /// daemon (`with_block`'s zero assert) or wrap the byte count past
+    /// the memory check, are submission errors.
     #[test]
-    fn degenerate_ladders_are_rejected() {
-        let none = JobSpec::TransposeLadder {
-            sizes: vec![],
-            block: 16,
-            device: None,
-        };
-        assert!(none.matrix().unwrap_err().contains("at least one size"));
-        let zero = JobSpec::TransposeLadder {
-            sizes: vec![128],
-            block: 0,
-            device: None,
-        };
-        assert!(zero.matrix().unwrap_err().contains("block"));
+    fn degenerate_and_overflowing_ladders_are_rejected() {
+        let cases = [
+            (
+                r#"{"TransposeLadder":{"sizes":[],"block":16}}"#,
+                "at least one size",
+            ),
+            (r#"{"TransposeLadder":{"sizes":[128],"block":0}}"#, "block"),
+            (
+                r#"{"TransposeLadder":{"sizes":[0],"block":32}}"#,
+                "positive",
+            ),
+            (
+                r#"{"TransposeLadder":{"sizes":[2147483648],"block":32}}"#,
+                "overflow",
+            ),
+            (r#"{"GbmvLadder":{"sizes":[]}}"#, "at least one order"),
+            (r#"{"GbmvLadder":{"sizes":[512,64]}}"#, "bandwidth"),
+            (
+                r#"{"GbmvLadder":{"sizes":[288230376151711743]}}"#,
+                "overflow",
+            ),
+        ];
+        for (json, want) in cases {
+            let spec: JobSpec = serde_json::from_str(json).unwrap();
+            let err = spec.matrix().unwrap_err();
+            assert!(err.contains(want), "{json}: {err}");
+        }
     }
 
     #[test]

@@ -469,6 +469,42 @@ fn drain_rejects_new_work_and_finishes_admitted_work() {
     daemon.stop();
 }
 
+/// Specs that used to panic inside a connection thread (a zero size
+/// reaching `TransposeConfig::with_block`) or wrap the matrix byte count
+/// past the memory check are answered with `Error`, and the server keeps
+/// serving: the next valid job completes and the drain stays clean.
+#[test]
+fn bad_specs_get_an_error_and_the_server_keeps_serving() {
+    let daemon = Daemon::start("bad_spec", 1, 4, None);
+    let mut client = daemon.client();
+    let bad: JobSpec =
+        serde_json::from_str(r#"{"TransposeLadder":{"sizes":[0],"block":32}}"#).unwrap();
+    let huge = JobSpec::TransposeLadder {
+        sizes: vec![1 << 31],
+        block: 32,
+        device: Some("mango".into()),
+    };
+    for spec in [&bad, &huge] {
+        match client
+            .submit(spec, &SubmitOptions::default(), |_| {})
+            .expect("submit exchange")
+        {
+            SubmitOutcome::Error { message } => {
+                assert!(!message.is_empty(), "{}", spec.label());
+            }
+            other => panic!("{} must be a submission error, got {other:?}", spec.label()),
+        }
+    }
+    let spec = ladder(&[64]);
+    match submit_done(&mut client, &spec, &SubmitOptions::default()) {
+        SubmitOutcome::Done { digest, .. } => {
+            assert_eq!(digest.expect("digest"), serial_digest(&spec));
+        }
+        _ => unreachable!(),
+    }
+    daemon.stop();
+}
+
 /// Streamed telemetry is schema-v7 JSONL: every line the client's
 /// callback sees parses as a `kind` record, and the stream carries
 /// exactly one header plus one line per cell.

@@ -927,8 +927,7 @@ mod tests {
         // the contended model agrees with the aggregate one.
         let a = run(&aggregate, 1);
         let c = run(&contended, 1);
-        let ratio =
-            c.phases[0].dram_occupancy_cycles / a.phases[0].dram_occupancy_cycles;
+        let ratio = c.phases[0].dram_occupancy_cycles / a.phases[0].dram_occupancy_cycles;
         assert!(
             (ratio - 1.0).abs() < 0.01,
             "even traffic must not be penalized: ratio {ratio}"
@@ -938,8 +937,7 @@ mod tests {
         // hottest channel holds half the bandwidth, so occupancy doubles.
         let a = run(&aggregate, 2);
         let c = run(&contended, 2);
-        let ratio =
-            c.phases[0].dram_occupancy_cycles / a.phases[0].dram_occupancy_cycles;
+        let ratio = c.phases[0].dram_occupancy_cycles / a.phases[0].dram_occupancy_cycles;
         assert!(
             ratio > 1.9,
             "single-channel traffic must pay the per-channel bandwidth: ratio {ratio}"

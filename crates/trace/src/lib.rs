@@ -14,7 +14,8 @@
 //! * [`TraceBuffer`] — an in-memory recording sink,
 //! * [`IterCost`] — the per-iteration instruction budget that accompanies a
 //!   stream of references so the core timing model can charge compute cycles,
-//! * [`TracedProgram`] — the producer-side trait kernels implement,
+//! * [`TracedProgram`] — a single-threaded generator over an outer
+//!   iteration space, implemented by
 //! * [`synthetic`] — stride/random/pointer-chase reference generators used by
 //!   the simulator's own test-suite and by the STREAM-style calibration runs.
 //!
@@ -36,7 +37,6 @@
 
 mod access;
 mod buffer;
-mod codec;
 pub mod ir;
 mod program;
 pub mod reuse;
@@ -44,9 +44,8 @@ pub mod synthetic;
 
 pub use access::{AccessKind, MemAccess};
 pub use buffer::{TraceBuffer, TraceStats};
-pub use codec::CodecError;
 pub use ir::{IrStats, Recorder, RecordingSink, TraceOp};
-pub use program::{IterCost, TracedProgram, WorkloadFootprint};
+pub use program::{IterCost, TracedProgram};
 
 /// A consumer of memory references.
 ///

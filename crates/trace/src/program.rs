@@ -96,41 +96,13 @@ impl IterCost {
     }
 }
 
-/// Description of how much memory a workload touches, used to size
-/// simulated runs and to compute the paper's §3.3 bandwidth-utilization
-/// metric (bytes that *must* move ÷ time ÷ STREAM bandwidth).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkloadFootprint {
-    /// Bytes of distinct data the kernel reads at least once.
-    pub bytes_read: u64,
-    /// Bytes of distinct data the kernel writes at least once.
-    pub bytes_written: u64,
-}
-
-impl WorkloadFootprint {
-    /// Create a footprint from distinct read and written byte counts.
-    #[must_use]
-    pub fn new(bytes_read: u64, bytes_written: u64) -> Self {
-        Self {
-            bytes_read,
-            bytes_written,
-        }
-    }
-
-    /// The compulsory DRAM traffic: every distinct byte read must be loaded
-    /// once and every distinct byte written must be stored once.
-    #[must_use]
-    pub fn compulsory_bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
-}
-
-/// A kernel variant that can emit its memory-reference stream.
+/// A single-threaded reference generator over an outer iteration space.
 ///
-/// Implementors must emit references in program order for a *single*
-/// simulated thread; parallel kernels are traced per-core by the harness,
-/// which partitions the iteration space with `membound-parallel` schedules
-/// and calls [`TracedProgram::trace_range`] once per simulated core.
+/// Implementors emit references in program order for one thread, and a
+/// range of outer iterations can be emitted on its own. The synthetic
+/// generators of [`crate::synthetic`] implement it; the paper's kernels
+/// do not — they reach the simulator through `membound-core`'s
+/// `TracedKernel` contract, which adds the per-core plan.
 pub trait TracedProgram {
     /// Total number of outer-loop iterations in the kernel's parallel
     /// dimension. Sequential kernels return their single outer extent.
@@ -143,9 +115,6 @@ pub trait TracedProgram {
     fn trace_all<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         self.trace_range(sink, 0, self.outer_iterations());
     }
-
-    /// The distinct-byte footprint of the kernel, for the §3.3 metric.
-    fn footprint(&self) -> WorkloadFootprint;
 }
 
 #[cfg(test)]
@@ -167,9 +136,6 @@ mod tests {
                 sink.store(self.base + i * 8, 8);
             }
             sink.compute(IterCost::new(1, 0), hi - lo);
-        }
-        fn footprint(&self) -> WorkloadFootprint {
-            WorkloadFootprint::new(0, self.n * 8)
         }
     }
 
@@ -202,11 +168,5 @@ mod tests {
         assert_eq!(c.total_ops(), 5);
         assert!(c.vectorizable);
         assert_eq!(IterCost::default().total_ops(), 0);
-    }
-
-    #[test]
-    fn footprint_compulsory_traffic() {
-        let f = WorkloadFootprint::new(100, 50);
-        assert_eq!(f.compulsory_bytes(), 150);
     }
 }

@@ -6,7 +6,7 @@
 //! hit/miss behaviour, and the STREAM experiment uses [`StridedSweep`] to
 //! size arrays per memory level.
 
-use crate::{IterCost, TraceSink, TracedProgram, WorkloadFootprint};
+use crate::{IterCost, TraceSink, TracedProgram};
 
 /// A read or read-write sweep over a contiguous array with a fixed stride.
 ///
@@ -91,15 +91,6 @@ impl TracedProgram for StridedSweep {
             .vectorizable(unit_stride);
         sink.compute(cost, hi - lo);
     }
-
-    fn footprint(&self) -> WorkloadFootprint {
-        let bytes = self.count * u64::from(self.access_size);
-        if self.write {
-            WorkloadFootprint::new(0, bytes)
-        } else {
-            WorkloadFootprint::new(bytes, 0)
-        }
-    }
 }
 
 /// Uniform-pseudo-random single accesses within a window — a worst case for
@@ -180,12 +171,6 @@ impl TracedProgram for RandomAccess {
             hi - lo,
         );
     }
-
-    fn footprint(&self) -> WorkloadFootprint {
-        // Expected distinct coverage is complicated; report the window,
-        // which is the steady-state resident set.
-        WorkloadFootprint::new(self.window_bytes, 0)
-    }
 }
 
 /// A dependent pointer chase: each access address is derived from the
@@ -255,10 +240,6 @@ impl TracedProgram for PointerChase {
         }
         sink.compute(IterCost::new(1, 0).mem(1, 0), hi - lo);
     }
-
-    fn footprint(&self) -> WorkloadFootprint {
-        WorkloadFootprint::new(self.nodes.min(self.count) * 8, 0)
-    }
 }
 
 #[cfg(test)]
@@ -291,16 +272,7 @@ mod tests {
         s.trace_all(&mut buf);
         assert_eq!(buf.stats().stores, 4);
         assert_eq!(buf.stats().loads, 0);
-        assert_eq!(s.footprint().bytes_written, 32);
-    }
-
-    #[test]
-    fn unit_stride_sweep_is_vectorizable_marked() {
-        // compute() carries the vectorizable bit; inspect via stats only
-        // indirectly — the bit matters in membound-sim tests. Here just
-        // confirm trace shape.
-        let s = StridedSweep::new(0, 8, 8, 8);
-        assert_eq!(s.footprint().bytes_read, 64);
+        assert_eq!(buf.stats().bytes_stored, 32);
     }
 
     /// The sweep must reach bulk sinks as one `access_strided` batch per

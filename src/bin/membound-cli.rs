@@ -20,20 +20,19 @@
 
 use membound::core::cache;
 use membound::core::experiment::{
-    simulate_blur, simulate_gbmv, simulate_gbmv_reference, simulate_stream,
-    simulate_stream_survey, simulate_transpose, simulate_transpose_reference, stream_dram_gbps,
+    simulate_blur, simulate_stream, simulate_stream_survey, simulate_transpose, stream_dram_gbps,
 };
 use membound::core::metrics::{attach_speedups, Measurement};
 use membound::core::report::{fmt_seconds, fmt_speedup, to_json, TextTable};
 use membound::core::{
-    blur_native, run_native_stream, transpose_native, BlurConfig, BlurVariant, GbmvConfig,
-    GbmvVariant, SquareMatrix, StreamOp, StreamTrace, TransposeConfig, TransposeVariant,
+    blur_native, run_native_stream, simulate, transpose_native, BlurConfig, BlurKernel,
+    BlurVariant, GbmvConfig, GbmvKernel, GbmvVariant, SquareMatrix, StreamOp, StreamTrace,
+    TracedKernel, TransposeConfig, TransposeKernel, TransposeVariant,
 };
-use membound::core::{BlurTrace, TransposeTrace};
 use membound::image::generate;
-use membound::parallel::{Pool, Schedule};
-use membound::sim::{estimate_coverage, Device, Machine};
-use membound::trace::{IrStats, RecordingSink, TraceSink};
+use membound::parallel::Pool;
+use membound::sim::{estimate_coverage, Device, DeviceSpec, Machine, SimReport};
+use membound::trace::{IrStats, RecordingSink, TraceOp, TraceSink};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -275,10 +274,14 @@ fn cmd_stream(opts: &Opts) {
     println!("{}", table.render());
 }
 
-fn cmd_transpose(opts: &Opts) {
-    let n: usize = opts.num("n", 2048);
-    let block: usize = opts.num("block", 64);
-    let cfg = TransposeConfig::with_block(n, block);
+/// Simulate a kernel ladder on every selected device and print it with
+/// speedups and the §3.3 utilization. `ladder(spec)` returns each
+/// variant's label and report (`None` when the workload does not fit).
+fn simulated_ladder(
+    opts: &Opts,
+    nominal_bytes: u64,
+    ladder: impl Fn(&DeviceSpec) -> Vec<(&'static str, Option<SimReport>)>,
+) {
     let mut table = TextTable::new(
         ["device", "variant", "threads", "time", "speedup", "BW util"]
             .map(String::from)
@@ -288,28 +291,25 @@ fn cmd_transpose(opts: &Opts) {
     for device in opts.devices() {
         let spec = device.spec();
         let stream = stream_dram_gbps(&spec);
-        let mut ladder = Vec::new();
-        for variant in transpose_variants(opts) {
-            match simulate_transpose(&spec, variant, cfg) {
-                Some(r) => {
-                    let mut m =
-                        Measurement::new(variant.label(), device.label(), r.threads, r.seconds);
-                    m.bandwidth_utilization =
-                        Some(r.bandwidth_utilization(cfg.nominal_bytes(), stream));
-                    ladder.push(m);
-                }
-                None => table.row(vec![
+        let mut measured = Vec::new();
+        for (variant, report) in ladder(&spec) {
+            let Some(r) = report else {
+                table.row(vec![
                     device.label().into(),
-                    variant.label().into(),
+                    variant.into(),
                     "-".into(),
                     "does not fit in memory".into(),
                     "-".into(),
                     "-".into(),
-                ]),
-            }
+                ]);
+                continue;
+            };
+            let mut m = Measurement::new(variant, device.label(), r.threads, r.seconds);
+            m.bandwidth_utilization = Some(r.bandwidth_utilization(nominal_bytes, stream));
+            measured.push(m);
         }
-        attach_speedups(&mut ladder);
-        for m in &ladder {
+        attach_speedups(&mut measured);
+        for m in &measured {
             table.row(vec![
                 m.device.clone(),
                 m.variant.clone(),
@@ -319,49 +319,40 @@ fn cmd_transpose(opts: &Opts) {
                 format!("{:.3}", m.bandwidth_utilization.unwrap_or(0.0)),
             ]);
         }
-        all_rows.extend(ladder);
+        all_rows.extend(measured);
     }
     emit(opts, table, &all_rows);
 }
 
+fn cmd_transpose(opts: &Opts) {
+    let cfg = TransposeConfig::with_block(opts.num("n", 2048), opts.num("block", 64));
+    simulated_ladder(opts, cfg.nominal_bytes(), |spec| {
+        transpose_variants(opts)
+            .into_iter()
+            .map(|v| (v.label(), simulate_transpose(spec, v, cfg)))
+            .collect()
+    });
+}
+
 fn cmd_blur(opts: &Opts) {
-    let cfg = BlurConfig {
-        height: opts.num("height", 507),
-        width: opts.num("width", 636),
+    let cfg = blur_config(opts, 507, 636);
+    simulated_ladder(opts, cfg.nominal_bytes(), |spec| {
+        blur_variants(opts)
+            .into_iter()
+            .map(|v| (v.label(), Some(simulate_blur(spec, v, cfg))))
+            .collect()
+    });
+}
+
+/// The blur workload from `--height`/`--width`/`--filter`.
+fn blur_config(opts: &Opts, height: usize, width: usize) -> BlurConfig {
+    BlurConfig {
+        height: opts.num("height", height),
+        width: opts.num("width", width),
         channels: 3,
         filter_size: opts.num("filter", 19),
         sigma: None,
-    };
-    let mut table = TextTable::new(
-        ["device", "variant", "threads", "time", "speedup", "BW util"]
-            .map(String::from)
-            .to_vec(),
-    );
-    let mut all_rows = Vec::new();
-    for device in opts.devices() {
-        let spec = device.spec();
-        let stream = stream_dram_gbps(&spec);
-        let mut ladder = Vec::new();
-        for variant in blur_variants(opts) {
-            let r = simulate_blur(&spec, variant, cfg);
-            let mut m = Measurement::new(variant.label(), device.label(), r.threads, r.seconds);
-            m.bandwidth_utilization = Some(r.bandwidth_utilization(cfg.nominal_bytes(), stream));
-            ladder.push(m);
-        }
-        attach_speedups(&mut ladder);
-        for m in &ladder {
-            table.row(vec![
-                m.device.clone(),
-                m.variant.clone(),
-                m.threads.to_string(),
-                fmt_seconds(m.seconds),
-                fmt_speedup(m.speedup_vs_naive),
-                format!("{:.3}", m.bandwidth_utilization.unwrap_or(0.0)),
-            ]);
-        }
-        all_rows.extend(ladder);
     }
-    emit(opts, table, &all_rows);
 }
 
 fn cmd_native_stream(opts: &Opts) {
@@ -384,74 +375,62 @@ fn cmd_native_stream(opts: &Opts) {
     );
 }
 
+/// Render a host-measured ladder (`(variant, seconds)` pairs) with
+/// speedups over its first entry.
+fn native_ladder(pool: &Pool, times: Vec<(&str, f64)>) -> String {
+    let mut ladder: Vec<Measurement> = times
+        .into_iter()
+        .map(|(variant, seconds)| Measurement::new(variant, "host", pool.threads(), seconds))
+        .collect();
+    attach_speedups(&mut ladder);
+    let mut table = TextTable::new(["variant", "time", "speedup"].map(String::from).to_vec());
+    for m in &ladder {
+        table.row(vec![
+            m.variant.clone(),
+            fmt_seconds(m.seconds),
+            fmt_speedup(m.speedup_vs_naive),
+        ]);
+    }
+    table.render()
+}
+
 fn cmd_native_transpose(opts: &Opts) {
     let n: usize = opts.num("n", 1024);
     let block: usize = opts.num("block", 64);
     let cfg = TransposeConfig::with_block(n, block);
     let pool = opts.pool();
-    let mut table = TextTable::new(["variant", "time", "speedup"].map(String::from).to_vec());
-    let mut ladder = Vec::new();
-    for variant in transpose_variants(opts) {
-        let mut m = SquareMatrix::indexed(n);
-        let t = transpose_native(&mut m, variant, cfg, &pool);
-        ladder.push(Measurement::new(
-            variant.label(),
-            "host",
-            pool.threads(),
-            t.as_secs_f64(),
-        ));
-    }
-    attach_speedups(&mut ladder);
-    for m in &ladder {
-        table.row(vec![
-            m.variant.clone(),
-            fmt_seconds(m.seconds),
-            fmt_speedup(m.speedup_vs_naive),
-        ]);
-    }
+    let times = transpose_variants(opts)
+        .into_iter()
+        .map(|v| {
+            let mut m = SquareMatrix::indexed(n);
+            (
+                v.label(),
+                transpose_native(&mut m, v, cfg, &pool).as_secs_f64(),
+            )
+        })
+        .collect();
     println!(
         "host transpose {n}x{n}, block {block}, {} threads\n{}",
         pool.threads(),
-        table.render()
+        native_ladder(&pool, times)
     );
 }
 
 fn cmd_native_blur(opts: &Opts) {
-    let cfg = BlurConfig {
-        height: opts.num("height", 317),
-        width: opts.num("width", 397),
-        channels: 3,
-        filter_size: opts.num("filter", 19),
-        sigma: None,
-    };
+    let cfg = blur_config(opts, 317, 397);
     let pool = opts.pool();
     let src = generate::test_pattern(cfg.height, cfg.width, cfg.channels);
-    let mut table = TextTable::new(["variant", "time", "speedup"].map(String::from).to_vec());
-    let mut ladder = Vec::new();
-    for variant in blur_variants(opts) {
-        let (_, t) = blur_native(&src, variant, &cfg, &pool);
-        ladder.push(Measurement::new(
-            variant.label(),
-            "host",
-            pool.threads(),
-            t.as_secs_f64(),
-        ));
-    }
-    attach_speedups(&mut ladder);
-    for m in &ladder {
-        table.row(vec![
-            m.variant.clone(),
-            fmt_seconds(m.seconds),
-            fmt_speedup(m.speedup_vs_naive),
-        ]);
-    }
+    let times = blur_variants(opts)
+        .into_iter()
+        .map(|v| (v.label(), blur_native(&src, v, &cfg, &pool).1.as_secs_f64()))
+        .collect();
     println!(
         "host blur {}x{}x3, F={}, {} threads\n{}",
         cfg.height,
         cfg.width,
         cfg.filter_size,
         pool.threads(),
-        table.render()
+        native_ladder(&pool, times)
     );
 }
 
@@ -496,6 +475,35 @@ fn cmd_validate_runlog(args: &[String]) -> ExitCode {
     }
 }
 
+/// The reports of one kernel replayed on two machines that must agree
+/// digest for digest; `None` when the workload does not fit.
+type ReplayPair = Option<(SimReport, SimReport)>;
+
+/// Replay `kernel` on both `machines`.
+fn replay_pair(machines: [Machine; 2], kernel: &impl TracedKernel) -> ReplayPair {
+    let [a, b] = machines;
+    Some((simulate(&a, kernel)?, simulate(&b, kernel)?))
+}
+
+/// A digest-gate table row: `prefix`, then the pair's two digests and
+/// whether they agree — or a skip when the workload does not fit.
+fn gate_row(mut row: Vec<String>, pair: &ReplayPair) -> Vec<String> {
+    row.extend(match pair {
+        None => ["does not fit in memory".into(), "-".into(), "skip".into()],
+        Some((a, b)) => [
+            format!("{:016x}", a.stats_digest()),
+            format!("{:016x}", b.stats_digest()),
+            if a.stats_digest() == b.stats_digest() {
+                "ok"
+            } else {
+                "DIVERGED"
+            }
+            .into(),
+        ],
+    });
+    row
+}
+
 /// `strided-gate`: simulate transposition cells twice — once on the
 /// default machine (column walks execute as `access_strided` batches)
 /// and once on a [`Machine::without_fastpath`] reference that dispatches
@@ -521,51 +529,33 @@ fn cmd_strided_gate(opts: &Opts) -> ExitCode {
     let mut batches_seen = 0u64;
     for device in opts.devices() {
         let spec = device.spec();
-        for variant in transpose_variants(opts) {
-            let (Some(batched), Some(reference)) = (
-                simulate_transpose(&spec, variant, cfg),
-                simulate_transpose_reference(&spec, variant, cfg),
-            ) else {
-                table.row(vec![
-                    device.label().into(),
-                    variant.label().into(),
-                    "-".into(),
-                    "does not fit in memory".into(),
-                    "-".into(),
-                    "skip".into(),
-                ]);
-                continue;
-            };
-            let ok = batched.stats_digest() == reference.stats_digest();
-            failures += u32::from(!ok);
-            batches_seen += batched.strided_batches;
-            table.row(vec![
-                device.label().into(),
-                variant.label().into(),
-                batched.strided_batches.to_string(),
-                format!("{:016x}", batched.stats_digest()),
-                format!("{:016x}", reference.stats_digest()),
-                if ok { "ok" } else { "DIVERGED" }.into(),
-            ]);
-        }
+        let machines = || {
+            let machine = Machine::new(spec.clone());
+            [machine.clone(), machine.without_fastpath()]
+        };
+        let mut cells: Vec<(String, ReplayPair)> = transpose_variants(opts)
+            .into_iter()
+            .map(|v| {
+                let pair = replay_pair(machines(), &TransposeKernel::new(v, cfg));
+                (v.label().to_string(), pair)
+            })
+            .collect();
         // One gbmv cell: the naïve anti-diagonal walk is the widest
         // constant stride any kernel feeds the bulk executors.
-        let gcfg = GbmvConfig::new(n.max(128));
-        if let (Some(batched), Some(reference)) = (
-            simulate_gbmv(&spec, GbmvVariant::Naive, gcfg),
-            simulate_gbmv_reference(&spec, GbmvVariant::Naive, gcfg),
-        ) {
-            let ok = batched.stats_digest() == reference.stats_digest();
-            failures += u32::from(!ok);
-            batches_seen += batched.strided_batches;
-            table.row(vec![
-                device.label().into(),
-                "gbmv Naive".into(),
-                batched.strided_batches.to_string(),
-                format!("{:016x}", batched.stats_digest()),
-                format!("{:016x}", reference.stats_digest()),
-                if ok { "ok" } else { "DIVERGED" }.into(),
-            ]);
+        let gbmv = GbmvKernel::new(GbmvVariant::Naive, GbmvConfig::new(n.max(128)));
+        cells.push(("gbmv Naive".into(), replay_pair(machines(), &gbmv)));
+        for (variant, pair) in &cells {
+            if let Some((batched, reference)) = pair {
+                failures += u32::from(batched.stats_digest() != reference.stats_digest());
+                batches_seen += batched.strided_batches;
+            }
+            let batches = pair
+                .as_ref()
+                .map_or("-".into(), |(b, _)| b.strided_batches.to_string());
+            table.row(gate_row(
+                vec![device.label().into(), variant.clone(), batches],
+                pair,
+            ));
         }
     }
     println!("strided gate, {n}x{n} transposition\n{}", table.render());
@@ -585,57 +575,13 @@ fn cmd_strided_gate(opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Record core 0's trace emission for one transpose cell into a folded
-/// IR program (the same plumbing as `simulate_transpose`, with a
-/// [`RecordingSink`] in place of the machine).
-fn record_transpose_ir(
-    spec: &membound::sim::DeviceSpec,
-    variant: TransposeVariant,
-    cfg: TransposeConfig,
-) -> Vec<membound::trace::TraceOp> {
-    let trace = TransposeTrace::new(cfg);
-    let threads = if variant.is_parallel() { spec.cores } else { 1 };
-    let total = trace.outer_iterations(variant);
-    let plan = variant
-        .schedule()
-        .plan(total, threads, |i| trace.weight(variant, i));
+/// Record simulated core 0's emission of `kernel` on `spec` into a
+/// folded IR program — the kernel's own plan, with a [`RecordingSink`]
+/// in place of the machine.
+fn record_core0(spec: &DeviceSpec, kernel: &impl TracedKernel) -> Vec<TraceOp> {
+    let plan = kernel.plan(spec, kernel.threads(spec));
     let mut sink = RecordingSink::new();
-    for range in &plan[0] {
-        trace.trace_outer(variant, &mut sink, 0, range.start, range.end);
-    }
-    sink.finish()
-}
-
-/// Record core 0's trace emission for one blur cell (see
-/// `simulate_blur` for the pass structure per variant).
-fn record_blur_ir(
-    spec: &membound::sim::DeviceSpec,
-    variant: BlurVariant,
-    cfg: BlurConfig,
-) -> Vec<membound::trace::TraceOp> {
-    let trace = BlurTrace::new(cfg);
-    let mut sink = RecordingSink::new();
-    match variant {
-        BlurVariant::Naive | BlurVariant::UnitStride => {
-            trace.trace_2d(variant, &mut sink, 0, trace.output_rows());
-        }
-        BlurVariant::OneDimKernels | BlurVariant::Memory => {
-            trace.trace_pass1(&mut sink, 0, trace.all_rows());
-            trace.trace_pass2(variant, &mut sink, 0, trace.output_rows());
-        }
-        BlurVariant::Parallel => {
-            let threads = spec.cores;
-            let plan1 = Schedule::Static.plan(trace.all_rows(), threads, |_| 1.0);
-            let plan2 = Schedule::Static.plan(trace.output_rows(), threads, |_| 1.0);
-            for r in &plan1[0] {
-                trace.trace_pass1(&mut sink, r.start, r.end);
-            }
-            sink.barrier();
-            for r in &plan2[0] {
-                trace.trace_pass2(variant, &mut sink, r.start, r.end);
-            }
-        }
-    }
+    kernel.emit(&plan, 0, &mut sink);
     sink.finish()
 }
 
@@ -676,25 +622,25 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
         } else {
             device.spec()
         };
-        let cells: Vec<(String, Vec<membound::trace::TraceOp>)> = match kernel {
+        let cells: Vec<(String, Vec<TraceOp>)> = match kernel {
             "transpose" | "fig2" => {
                 let cfg = TransposeConfig::with_block(opts.num("n", 2048), opts.num("block", 64));
                 transpose_variants(opts)
                     .into_iter()
-                    .map(|v| (v.label().to_owned(), record_transpose_ir(&spec, v, cfg)))
+                    .map(|v| {
+                        let program = record_core0(&spec, &TransposeKernel::new(v, cfg));
+                        (v.label().to_owned(), program)
+                    })
                     .collect()
             }
             "blur" | "fig6" => {
-                let cfg = BlurConfig {
-                    height: opts.num("height", 507),
-                    width: opts.num("width", 636),
-                    channels: 3,
-                    filter_size: opts.num("filter", 19),
-                    sigma: None,
-                };
+                let cfg = blur_config(opts, 507, 636);
                 blur_variants(opts)
                     .into_iter()
-                    .map(|v| (v.label().to_owned(), record_blur_ir(&spec, v, cfg)))
+                    .map(|v| {
+                        let program = record_core0(&spec, &BlurKernel::new(v, cfg));
+                        (v.label().to_owned(), program)
+                    })
                     .collect()
             }
             "stream" => {
@@ -770,15 +716,8 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
 /// fast-forward (`analytic_ops > 0`), or the equality above proved
 /// nothing.
 fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
-    use membound::sim::set_analytic_override;
     let cfg_t = TransposeConfig::new(opts.num("n", 512));
-    let cfg_b = BlurConfig {
-        height: opts.num("height", 127),
-        width: opts.num("width", 159),
-        channels: 3,
-        filter_size: opts.num("filter", 19),
-        sigma: None,
-    };
+    let cfg_b = blur_config(opts, 127, 159);
     let mut table = TextTable::new(
         [
             "figure",
@@ -792,68 +731,34 @@ fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
         .to_vec(),
     );
     let mut failures = 0u32;
-    let mut gate = |table: &mut TextTable,
-                    figure: &str,
-                    device: &str,
-                    variant: &str,
-                    on: Option<membound::sim::SimReport>,
-                    off: Option<membound::sim::SimReport>| {
-        let (Some(on), Some(off)) = (on, off) else {
-            table.row(vec![
-                figure.into(),
-                device.into(),
-                variant.into(),
-                "does not fit in memory".into(),
-                "-".into(),
-                "skip".into(),
-            ]);
-            return;
-        };
-        let ok = on.stats_digest() == off.stats_digest();
-        failures += u32::from(!ok);
-        table.row(vec![
-            figure.into(),
-            device.into(),
-            variant.into(),
-            format!("{:016x}", on.stats_digest()),
-            format!("{:016x}", off.stats_digest()),
-            if ok { "ok" } else { "DIVERGED" }.into(),
-        ]);
-    };
     for device in opts.devices() {
         let spec = device.spec();
-        for variant in transpose_variants(opts) {
-            set_analytic_override(Some(true));
-            let on = simulate_transpose(&spec, variant, cfg_t);
-            set_analytic_override(Some(false));
-            let off = simulate_transpose(&spec, variant, cfg_t);
-            gate(&mut table, "fig2", device.label(), variant.label(), on, off);
+        let machines = || [true, false].map(|on| Machine::new(spec.clone()).with_analytic(on));
+        let mut cells: Vec<(&str, &str, ReplayPair)> = Vec::new();
+        for v in transpose_variants(opts) {
+            let pair = replay_pair(machines(), &TransposeKernel::new(v, cfg_t));
+            cells.push(("fig2", v.label(), pair));
         }
-        for variant in blur_variants(opts) {
-            set_analytic_override(Some(true));
-            let on = simulate_blur(&spec, variant, cfg_b);
-            set_analytic_override(Some(false));
-            let off = simulate_blur(&spec, variant, cfg_b);
-            gate(
-                &mut table,
-                "fig6",
-                device.label(),
-                variant.label(),
-                Some(on),
-                Some(off),
-            );
+        for v in blur_variants(opts) {
+            let pair = replay_pair(machines(), &BlurKernel::new(v, cfg_b));
+            cells.push(("fig6", v.label(), pair));
         }
         // One gbmv cell per device: the blocked panels are the same
         // unit-stride shape the executor's coverage gates see from
         // STREAM, reached through a different kernel family.
         let cfg_g = GbmvConfig::new(opts.num("n", 512).max(128));
-        set_analytic_override(Some(true));
-        let on = simulate_gbmv(&spec, GbmvVariant::Blocked, cfg_g);
-        set_analytic_override(Some(false));
-        let off = simulate_gbmv(&spec, GbmvVariant::Blocked, cfg_g);
-        gate(&mut table, "gbmv", device.label(), "Blocked", on, off);
+        let gbmv = GbmvKernel::new(GbmvVariant::Blocked, cfg_g);
+        cells.push(("gbmv", "Blocked", replay_pair(machines(), &gbmv)));
+        for (figure, variant, pair) in &cells {
+            if let Some((on, off)) = pair {
+                failures += u32::from(on.stats_digest() != off.stats_digest());
+            }
+            table.row(gate_row(
+                vec![(*figure).into(), device.label().into(), (*variant).into()],
+                pair,
+            ));
+        }
     }
-    set_analytic_override(None);
     println!("analytic gate\n{}", table.render());
     if failures > 0 {
         eprintln!("analytic gate FAILED: {failures} cell(s) diverged from forced replay");

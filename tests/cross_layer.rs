@@ -195,36 +195,6 @@ fn blocking_collapses_reuse_distances() {
     );
 }
 
-/// Recorded traces survive the binary codec and replay into the
-/// simulator with identical results.
-#[test]
-fn recorded_traces_replay_identically_through_the_codec() {
-    use membound::trace::TraceBuffer;
-
-    // Record a small blur trace.
-    let cfg = BlurConfig::small(33, 49);
-    let trace = membound::core::BlurTrace::new(cfg);
-    let mut recorded = TraceBuffer::new();
-    trace.trace_2d(membound::core::BlurVariant::Naive, &mut recorded, 0, 4);
-
-    // Round-trip through the binary format.
-    let mut bytes = Vec::new();
-    recorded.write_binary(&mut bytes).unwrap();
-    let decoded = TraceBuffer::read_binary(&mut bytes.as_slice()).unwrap();
-
-    // Replay both against the same device: bit-identical reports.
-    let machine = Machine::new(Device::MangoPiMqPro.spec());
-    let run = |buf: &TraceBuffer| {
-        machine.simulate(1, |_tid, sink| {
-            buf.replay_into(sink);
-        })
-    };
-    let a = run(&recorded);
-    let b = run(&decoded);
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.dram, b.dram);
-}
-
 /// Native parallel runs under every schedule produce identical results
 /// (scheduling must never change semantics).
 #[test]
