@@ -13,15 +13,17 @@
 //!
 //! TLB translation is disabled (`DeviceSpec::without_tlb`): the
 //! steady-state isomorphism the fast-forward rests on does not hold
-//! under finite TLBs (DESIGN.md §15), which is also why fig2/fig6
-//! run analytic-on at replay speed. Large-n bandwidth studies are
-//! exactly the place where translation is routinely factored out.
+//! under finite TLBs, so the executor only arms with translation off
+//! (DESIGN.md §15) and never runs on fig2/fig6. Large-n bandwidth
+//! studies are exactly the place where translation is routinely
+//! factored out.
 //!
 //! Devices whose modelled DRAM cannot hold the three arrays are
 //! skipped with a note (the Mango Pi's 1 GB holds nothing at this
 //! scale); the StarFive's random-replacement caches defeat the
 //! periodicity proof, so it reports an honest ~1x with the analytic
-//! ops counter at zero.
+//! ops counter at zero; channel-contended DRAM (the SG2044) never arms
+//! the executor at all.
 
 use std::time::Instant;
 

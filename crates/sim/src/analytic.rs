@@ -19,20 +19,19 @@
 //!   iterations, where `M` is the least common multiple of every cache
 //!   level's `sets × line_bytes`, makes the chunk shift `Δ·P` a multiple
 //!   of every level's indexing period, so `Φ` maps each set to itself.
-//! * **Translation invariance** — a nonzero `Δ` is only accepted with
-//!   TLB simulation disabled (`translate` provably never touches state);
-//!   `Δ = 0` (identity `Φ`, `P = 1`) is accepted with the TLB on and
-//!   compares TLB state exactly.
+//! * **Translation invariance** — the executor is only armed with TLB
+//!   simulation disabled ([`arms`]), so `translate` provably never
+//!   touches state and TLB/page-walk state is constant across a run.
 //! * **Address envelope** — the loop footprint, widened by the maximum
 //!   prefetch reach, must sit inside `[2^22, 2^62)`: prefetch target
 //!   clamping at address 0 and `line << shift` overflow behave
 //!   identically across all chunks, and resident lines outside the
 //!   envelope windows are compared (and left) as-is.
 //! * **State isomorphism** — after the warm-up, the full per-core state
-//!   (cache tags/flags/recency *order*, prefetcher tables, armed line,
-//!   walk memo) must equal the pre-chunk snapshot under `Φ`; replacement
-//!   RNG and frozen prefetcher streaks compare exactly, so random
-//!   replacement (U74) and retraining streams fall back honestly.
+//!   (cache tags/flags/recency *order*, prefetcher tables, armed line)
+//!   must equal the pre-chunk snapshot under `Φ`; replacement RNG and
+//!   frozen prefetcher streaks compare exactly, so random replacement
+//!   (U74) and retraining streams fall back honestly.
 //!
 //! Anything unproven replays through the raw per-element paths — the
 //! fallback is the reference semantics, so analytic execution is
@@ -40,11 +39,11 @@
 //! CI `analytic-gate` hold it to that).
 
 use crate::cache::Cache;
-use crate::hierarchy::{ArmedLine, CorePipeline, MAX_WALK_LEVELS};
+use crate::dram::DramConfig;
+use crate::hierarchy::{ArmedLine, CorePipeline};
 use crate::machine::DeviceSpec;
 use crate::prefetch::{Prefetcher, PrefetcherConfig};
 use crate::stats::LevelStats;
-use crate::tlb::Tlb;
 use membound_trace::ir::DEFAULT_RECORDER_CAP;
 use membound_trace::{strided_addr, MemAccess, Recorder, TraceOp};
 
@@ -70,20 +69,26 @@ const WARMUPS: [u64; 6] = [1, 2, 4, 8, 16, 32];
 const ENVELOPE_LO: u64 = 1 << 22;
 const ENVELOPE_HI: u64 = 1 << 62;
 
-/// Element count from which a failed fast-forward attempt counts toward
-/// disabling the recorder (small ops never pay for the warm-up anyway).
-const BIG_ELEMS: u64 = 4096;
-
-/// Consecutive big-op failures (with no success ever) after which the
-/// analytic layer turns itself off for the rest of the run, bounding
-/// recording overhead on workloads that can never fast-forward.
-const MAX_FAILS: u32 = 8;
-
-/// Disable analytic execution for the run once this many expanded
-/// elements have been replayed through failed attempts with no success
-/// yet, regardless of individual attempt sizes — bounds the recording
-/// overhead of workloads made of many small ineligible loops.
-const MAX_FAIL_ELEMS: u64 = 1 << 18;
+/// The one analytic arming rule, decided from the device before anything
+/// is recorded: a pipeline carries an [`Analytic`] executor, and the
+/// coverage estimator counts eligible elements, only when all hold.
+///
+/// * analytic execution was `requested` (`Machine::with_analytic`);
+/// * the repeat-line `fastpath` is on — the executor replays through it,
+///   and the reference build must stay the plain per-element path;
+/// * translation is off — a nonzero line shift moves page numbers, so
+///   TLB state is never periodic under the line map and every
+///   nonzero-stride proof would be refused;
+/// * DRAM is uncontended — fast-forward scales counters linearly over a
+///   chunk, and a per-channel tally (`line % channels`) is not linear in
+///   the chunk's line shift (DESIGN.md §16).
+///
+/// Random replacement stays a run-time refusal: a `Δ = 0` loop resident
+/// in L1 never evicts, so its RNG does not advance and the proof can
+/// succeed.
+pub(crate) fn arms(requested: bool, fastpath: bool, tlb_enabled: bool, dram: &DramConfig) -> bool {
+    requested && fastpath && !tlb_enabled && !dram.contended
+}
 
 /// Per-core analytic executor: records the sink stream into trace IR,
 /// executes the IR, and fast-forwards the provably periodic parts.
@@ -91,16 +96,6 @@ const MAX_FAIL_ELEMS: u64 = 1 << 18;
 pub(crate) struct Analytic {
     recorder: Recorder,
     out: Vec<TraceOp>,
-    scratch: Vec<TraceOp>,
-    /// False once disabled; the sink dispatch then bypasses recording.
-    pub(crate) live: bool,
-    fails: u32,
-    /// Cumulative expanded elements of failed attempts while nothing has
-    /// succeeded yet — catches workloads made of many small ineligible
-    /// loops (each under [`BIG_ELEMS`]) that would otherwise pay
-    /// recording overhead forever.
-    failed_elems: u64,
-    successes: u64,
     /// Elements advanced analytically (never executed).
     pub(crate) analytic_ops: u64,
     /// Elements replayed raw inside failed fast-forward attempts.
@@ -112,32 +107,17 @@ impl Analytic {
         Analytic {
             recorder: Recorder::new(DEFAULT_RECORDER_CAP),
             out: Vec::new(),
-            scratch: Vec::new(),
-            live: true,
-            fails: 0,
-            failed_elems: 0,
-            successes: 0,
             analytic_ops: 0,
             replay_fallback_ops: 0,
         }
     }
 
     fn note_success(&mut self, elems: u64) {
-        self.successes += 1;
         self.analytic_ops = self.analytic_ops.saturating_add(elems);
     }
 
     fn note_fail(&mut self, elems: u64) {
         self.replay_fallback_ops = self.replay_fallback_ops.saturating_add(elems);
-        if self.successes == 0 {
-            if elems >= BIG_ELEMS {
-                self.fails += 1;
-            }
-            self.failed_elems = self.failed_elems.saturating_add(elems);
-            if self.fails >= MAX_FAILS || self.failed_elems >= MAX_FAIL_ELEMS {
-                self.live = false;
-            }
-        }
     }
 }
 
@@ -150,7 +130,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 }
 
 /// Rough expanded element count of an op (what a raw replay would cost),
-/// used for coverage accounting and the disable heuristic.
+/// used for coverage and fallback accounting.
 fn op_elems(op: &TraceOp) -> u64 {
     match op {
         TraceOp::Access { .. } => 1,
@@ -244,7 +224,6 @@ impl FfPlan {
 /// planner and the static coverage estimator.
 pub(crate) struct FfParams {
     modulus: Option<u64>,
-    tlb: bool,
     margin: u64,
     line_bytes: u32,
 }
@@ -287,7 +266,6 @@ impl FfParams {
                     .iter()
                     .map(|c| c.sets().checked_mul(u64::from(c.line_bytes))),
             ),
-            tlb: spec.tlb_enabled,
             margin: (prefetch_reach_lines(spec.prefetchers.iter().copied()) + 1)
                 * u64::from(line_bytes),
             line_bytes,
@@ -308,9 +286,6 @@ impl FfParams {
         let (p, chunk_delta) = if stride == 0 {
             (1, 0)
         } else {
-            if self.tlb {
-                return None; // nonzero shift requires frozen translation
-            }
             let p = m / gcd(m, stride.unsigned_abs());
             if p > MAX_PERIOD_ITERS {
                 return None;
@@ -345,12 +320,8 @@ impl FfParams {
 /// vector the per-chunk deltas are measured against.
 struct PipeSnapshot {
     levels: Vec<Cache>,
-    dtlb: Tlb,
-    l2tlb: Option<Tlb>,
     prefetchers: Vec<Option<Prefetcher>>,
     armed: Option<ArmedLine>,
-    walk_memo: [Option<(u64, usize, u32)>; MAX_WALK_LEVELS],
-    walk_upper_node: Option<u64>,
     counters: Vec<u64>,
 }
 
@@ -385,7 +356,7 @@ impl CorePipeline {
 
     /// Whether sink calls should be routed through the recorder.
     pub(crate) fn analytic_live(&self) -> bool {
-        self.analytic.as_ref().is_some_and(|a| a.live)
+        self.analytic.is_some()
     }
 
     /// Record one op; executes whatever structured program the recorder
@@ -410,24 +381,12 @@ impl CorePipeline {
     }
 
     fn drain_analytic(&mut self, an: &mut Analytic) {
-        let mut ops = std::mem::take(&mut an.scratch);
-        loop {
-            std::mem::swap(&mut ops, &mut an.out);
-            if ops.is_empty() {
-                // A mid-drain disable leaves ops parked in the recorder;
-                // spill and execute them too, then stay raw.
-                if an.live || an.recorder.is_empty() {
-                    break;
-                }
-                an.recorder.flush(&mut an.out);
-                continue;
-            }
-            for op in &ops {
-                self.execute_op(op, 0, an);
-            }
-            ops.clear();
+        let mut ops = std::mem::take(&mut an.out);
+        for op in &ops {
+            self.execute_op(op, 0, an);
         }
-        an.scratch = ops;
+        ops.clear();
+        an.out = ops;
     }
 
     // ---- IR execution --------------------------------------------------
@@ -551,7 +510,6 @@ impl CorePipeline {
                     .iter()
                     .map(|c| c.config().sets().checked_mul(u64::from(self.line_bytes))),
             ),
-            tlb: self.tlb_enabled,
             margin: (prefetch_reach_lines(
                 self.prefetchers.iter().flatten().map(Prefetcher::config),
             ) + 1)
@@ -613,19 +571,7 @@ impl CorePipeline {
         if body.is_empty() || body.iter().any(|op| matches!(op, TraceOp::Barrier)) {
             return None;
         }
-        // Uniform per-iteration shift across address-bearing body ops.
-        let mut d: Option<i64> = None;
-        for (op, step) in body.iter().zip(steps) {
-            if matches!(op, TraceOp::Compute { .. }) {
-                continue;
-            }
-            match d {
-                None => d = Some(*step),
-                Some(prev) if prev != *step => return None,
-                Some(_) => {}
-            }
-        }
-        let d = d?;
+        let d = uniform_step(body, steps)?;
         // Absolute footprint over all iterations, in the shifted frame.
         let mut fp: Option<(i128, i128)> = None;
         for (op, step) in body.iter().zip(steps) {
@@ -782,7 +728,7 @@ impl CorePipeline {
         let end = addr.saturating_add(len);
         let lines = ((end - 1) >> shift) - (addr >> shift) + 1;
         let chunks = lines / p;
-        if chunks < MIN_CHUNKS || params.tlb {
+        if chunks < MIN_CHUNKS {
             return None;
         }
         let chunk_delta = i64::try_from(m).ok()?;
@@ -879,8 +825,7 @@ impl CorePipeline {
     /// The counter vector scaled by fast-forward, in one fixed order
     /// (mirrored exactly by [`CorePipeline::ff_set_counters`]).
     fn ff_counters(&self) -> Vec<u64> {
-        let mut v =
-            Vec::with_capacity(8 + self.cur.supply_bytes.len() + 8 * (self.levels.len() + 2));
+        let mut v = Vec::with_capacity(7 + self.cur.supply_bytes.len() + 8 * self.levels.len());
         v.push(self.cur.cycles.issue_subcycles);
         v.push(self.cur.cycles.stall_subcycles);
         v.extend_from_slice(&self.cur.supply_bytes);
@@ -892,10 +837,6 @@ impl CorePipeline {
         ]);
         for c in &self.levels {
             push_level(&mut v, &c.stats());
-        }
-        push_level(&mut v, &self.dtlb.stats());
-        if let Some(l2) = &self.l2tlb {
-            push_level(&mut v, &l2.stats());
         }
         v.push(self.strided_batches);
         v
@@ -915,10 +856,6 @@ impl CorePipeline {
         for c in &mut self.levels {
             *c.stats_mut() = read_level(&mut it);
         }
-        *self.dtlb.stats_mut() = read_level(&mut it);
-        if let Some(l2) = &mut self.l2tlb {
-            *l2.stats_mut() = read_level(&mut it);
-        }
         self.strided_batches = it.next().unwrap();
         debug_assert!(it.next().is_none());
     }
@@ -928,12 +865,8 @@ impl CorePipeline {
     fn ff_snapshot(&self) -> PipeSnapshot {
         PipeSnapshot {
             levels: self.levels.clone(),
-            dtlb: self.dtlb.clone(),
-            l2tlb: self.l2tlb.clone(),
             prefetchers: self.prefetchers.clone(),
             armed: self.armed,
-            walk_memo: self.walk_memo,
-            walk_upper_node: self.walk_upper_node,
             counters: self.ff_counters(),
         }
     }
@@ -956,7 +889,11 @@ impl CorePipeline {
     /// untouched under extrapolation *provided* none of its lines can
     /// collide with the op's remaining footprint — the caller checks
     /// that against [`FfPlan::forward_windows`] before applying.
+    ///
+    /// TLB and page-walk state is not compared: the executor is only
+    /// armed with translation off, where neither can change during a run.
     fn ff_state_matches(&self, base: &PipeSnapshot, map: &LineMap) -> Option<Vec<bool>> {
+        debug_assert!(!self.tlb_enabled);
         let cur_counters = self.ff_counters();
         let mut frozen = vec![false; self.levels.len()];
         for (k, (cur, b)) in self.levels.iter().zip(&base.levels).enumerate() {
@@ -970,14 +907,6 @@ impl CorePipeline {
             } else {
                 return None;
             }
-        }
-        if !self.dtlb.ff_eq(&base.dtlb) {
-            return None;
-        }
-        match (&self.l2tlb, &base.l2tlb) {
-            (Some(a), Some(b)) if a.ff_eq(b) => {}
-            (None, None) => {}
-            _ => return None,
         }
         for (cur, b) in self.prefetchers.iter().zip(&base.prefetchers) {
             match (cur, b) {
@@ -1006,14 +935,7 @@ impl CorePipeline {
             }
             _ => false,
         };
-        if armed_ok
-            && self.walk_memo == base.walk_memo
-            && self.walk_upper_node == base.walk_upper_node
-        {
-            Some(frozen)
-        } else {
-            None
-        }
+        armed_ok.then_some(frozen)
     }
 
     /// Advance counters by `k` times the verified chunk's delta and shift
@@ -1061,8 +983,9 @@ impl CorePipeline {
 /// Static fast-forward coverage estimate of a trace program on a device
 /// (the `membound-cli trace-ir` metric): how many expanded elements sit
 /// in loops that pass the *shape* gates (uniform shift, period, chunk
-/// count, envelope). An upper bound — runtime warm-up can still fail
-/// (e.g. random replacement or retraining streams) and fall back.
+/// count, envelope) on a device the executor arms on. An upper bound —
+/// runtime warm-up can still fail (e.g. random replacement or
+/// retraining streams) and fall back.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Coverage {
     /// Expanded elements inside shape-eligible loops.
@@ -1084,76 +1007,73 @@ impl Coverage {
 }
 
 /// Estimate analytic coverage of `program` on `spec` (single-core view).
+/// A device the executor never arms on ([`arms`]) covers nothing.
 #[must_use]
 pub fn estimate_coverage(spec: &DeviceSpec, program: &[TraceOp]) -> Coverage {
-    let params = FfParams::of_spec(spec);
+    let params = arms(true, true, spec.tlb_enabled, &spec.dram).then(|| FfParams::of_spec(spec));
     let mut cov = Coverage::default();
     for op in program {
-        let (eligible, total) = coverage_op(&params, op);
+        let eligible = params.as_ref().map_or(0, |params| coverage_op(params, op));
         cov.eligible_elems = cov.eligible_elems.saturating_add(eligible);
-        cov.total_elems = cov.total_elems.saturating_add(total);
+        cov.total_elems = cov.total_elems.saturating_add(op_elems(op));
     }
     cov
 }
 
-fn coverage_op(params: &FfParams, op: &TraceOp) -> (u64, u64) {
-    let total = op_elems(op);
+/// The per-iteration byte shift shared by every address-bearing op of a
+/// loop body (`Compute` carries no address), or `None` when the steps
+/// differ or no op bears an address.
+fn uniform_step(body: &[TraceOp], steps: &[i64]) -> Option<i64> {
+    let mut d = None;
+    for (op, &step) in body.iter().zip(steps) {
+        if matches!(op, TraceOp::Compute { .. }) {
+            continue;
+        }
+        match d {
+            None => d = Some(step),
+            Some(prev) if prev != step => return None,
+            Some(_) => {}
+        }
+    }
+    d
+}
+
+/// Expanded elements of `op` inside shape-eligible loops.
+fn coverage_op(params: &FfParams, op: &TraceOp) -> u64 {
     match op {
         TraceOp::Strided { stride, count, .. } | TraceOp::StridedRmw { stride, count, .. } => {
-            let per = total.checked_div(*count).unwrap_or(0);
-            match params.plan_linear(*stride, *count, op.footprint()) {
-                Some((p, chunks, _, _)) => (chunks * p * per, total),
-                None => (0, total),
-            }
+            let per = op_elems(op).checked_div(*count).unwrap_or(0);
+            params
+                .plan_linear(*stride, *count, op.footprint())
+                .map_or(0, |(p, chunks, _, _)| chunks * p * per)
         }
         TraceOp::Range { len, .. } => {
             let m = params.modulus.unwrap_or(0);
             let line = u64::from(params.line_bytes);
-            let eligible = if m > 0 && !params.tlb && *len / m >= MIN_CHUNKS {
+            if m > 0 && *len / m >= MIN_CHUNKS {
                 (*len / m) * (m / line)
             } else {
                 0
-            };
-            (eligible, total)
+            }
         }
         TraceOp::Repeat { body, steps, count } => {
-            let mut d: Option<i64> = None;
-            let mut uniform = true;
-            for (op, step) in body.iter().zip(steps) {
-                if matches!(op, TraceOp::Compute { .. }) {
-                    continue;
-                }
-                match d {
-                    None => d = Some(*step),
-                    Some(prev) if prev != *step => uniform = false,
-                    Some(_) => {}
-                }
-            }
-            if uniform {
-                if let Some(d) = d {
-                    if let Some((p, chunks, _, _)) = params.plan_linear(d, *count, op.footprint()) {
-                        let per_iter = body
-                            .iter()
-                            .fold(0u64, |a, op| a.saturating_add(op_elems(op)));
-                        return (chunks.saturating_mul(p).saturating_mul(per_iter), total);
-                    }
-                }
+            let whole = uniform_step(body, steps)
+                .and_then(|d| params.plan_linear(d, *count, op.footprint()));
+            if let Some((p, chunks, _, _)) = whole {
+                let per_iter = body
+                    .iter()
+                    .fold(0u64, |a, op| a.saturating_add(op_elems(op)));
+                return chunks.saturating_mul(p).saturating_mul(per_iter);
             }
             // Whole loop not plannable: nested loops still get chances.
-            let (e, t) = body.iter().fold((0u64, 0u64), |(e, t), op| {
-                let (ce, ct) = coverage_op(params, op);
-                (e.saturating_add(ce), t.saturating_add(ct))
-            });
-            (
-                e.saturating_mul(*count),
-                t.saturating_mul(*count).max(total),
-            )
+            body.iter()
+                .fold(0u64, |e, op| e.saturating_add(coverage_op(params, op)))
+                .saturating_mul(*count)
         }
-        TraceOp::Seq(ops) => ops.iter().fold((0u64, 0u64), |(e, t), op| {
-            let (ce, ct) = coverage_op(params, op);
-            (e.saturating_add(ce), t.saturating_add(ct))
-        }),
-        _ => (0, total),
+        TraceOp::Seq(ops) => ops
+            .iter()
+            .fold(0u64, |e, op| e.saturating_add(coverage_op(params, op))),
+        _ => 0,
     }
 }
 
@@ -1224,7 +1144,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_gates_tlb_and_chunk_count() {
+    fn plan_gates_period_and_chunk_count() {
         let spec = tiny_spec();
         let p = FfParams::of_spec(&spec);
         // stride 64 over 4096 elements: P = 8192/64 = 128, 32 chunks.
@@ -1235,13 +1155,6 @@ mod tests {
         assert_eq!(delta, 8192);
         // Too few chunks.
         assert!(p.plan_linear(64, 512, fp).is_none());
-        // Zero stride: identity plan, allowed even with the TLB on.
-        let with_tlb = FfParams {
-            tlb: true,
-            ..FfParams::of_spec(&spec)
-        };
-        assert!(with_tlb.plan_linear(0, 64, None).is_some());
-        assert!(with_tlb.plan_linear(64, 4096, fp).is_none());
     }
 
     #[test]
@@ -1387,9 +1300,8 @@ mod tests {
 
     #[test]
     fn tlb_on_devices_stay_digest_identical() {
-        // Mango Pi (TLB on): nonzero-shift loops are rejected by the
-        // translation gate, so everything replays; digests must match
-        // with zero analytic coverage and the disable kicking in.
+        // Mango Pi (TLB on): the executor is never armed, so nothing is
+        // recorded, attempted or fast-forwarded; digests must match.
         let spec = Device::MangoPiMqPro.spec();
         let trace = |_tid: u32, sink: &mut CorePipeline| {
             for row in 0..64u64 {
@@ -1401,6 +1313,7 @@ mod tests {
             .simulate(1, trace);
         let replay = Machine::new(spec).with_analytic(false).simulate(1, trace);
         assert_eq!(analytic.analytic_ops, 0);
+        assert_eq!(analytic.replay_fallback_ops, 0);
         assert_eq!(analytic.stats_digest(), replay.stats_digest());
     }
 
@@ -1425,20 +1338,16 @@ mod tests {
         assert_eq!(cov.total_elems, 4097);
         assert_eq!(cov.eligible_elems, 4096);
         assert!(cov.percent() > 99.9);
-        // The TLB gate zeroes nonzero-stride eligibility.
+        // Devices the executor never arms on cover nothing: translation
+        // on, or channel-contended DRAM.
         let mut tlb_spec = tiny_spec();
         tlb_spec.tlb_enabled = true;
-        let cov = estimate_coverage(&tlb_spec, &program);
-        assert_eq!(cov.eligible_elems, 0);
-    }
-
-    #[test]
-    fn analytic_env_default_parsing() {
-        // `analytic_default` honours the override in both directions.
-        crate::machine::set_analytic_override(Some(false));
-        assert!(!crate::machine::analytic_default());
-        crate::machine::set_analytic_override(Some(true));
-        assert!(crate::machine::analytic_default());
-        crate::machine::set_analytic_override(None);
+        let mut contended = tiny_spec();
+        contended.dram = contended.dram.with_channel_contention();
+        for spec in [tlb_spec, contended] {
+            let cov = estimate_coverage(&spec, &program);
+            assert_eq!(cov.eligible_elems, 0);
+            assert_eq!(cov.total_elems, 4097);
+        }
     }
 }

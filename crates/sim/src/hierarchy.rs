@@ -5,7 +5,7 @@
 //! charges each one against the device model, accumulating cycle and
 //! traffic accounting per *phase* (the stretches between barriers).
 
-use crate::analytic::Analytic;
+use crate::analytic::{self, Analytic};
 use crate::assoc::Reserved;
 use crate::cache::{Cache, CacheConfig};
 use crate::core::CoreConfig;
@@ -136,8 +136,8 @@ pub struct CorePipeline {
     /// recomputed for them.
     pub(crate) walk_upper_node: Option<u64>,
     /// The analytic executor (recorder + fast-forward engine), present
-    /// when the machine runs with analytic execution enabled. `None`
-    /// means every sink call takes the raw per-element path directly.
+    /// when [`analytic::arms`] allows it. `None` means every sink call
+    /// takes the raw per-element path directly.
     pub(crate) analytic: Option<Box<Analytic>>,
 }
 
@@ -231,15 +231,8 @@ impl CorePipeline {
             strided_batches: 0,
             walk_memo: [None; MAX_WALK_LEVELS],
             walk_upper_node: None,
-            // Analytic fast-forward scales counters *linearly* over a
-            // periodic chunk; a per-channel tally (`line % channels`) is
-            // not linear in the chunk's line delta, so contended devices
-            // always replay (DESIGN.md §16).
-            analytic: if cfg.analytic && cfg.fastpath && !cfg.dram.contended {
-                Some(Box::new(Analytic::new()))
-            } else {
-                None
-            },
+            analytic: analytic::arms(cfg.analytic, cfg.fastpath, cfg.tlb_enabled, &cfg.dram)
+                .then(|| Box::new(Analytic::new())),
         }
     }
 
@@ -1066,7 +1059,11 @@ mod tests {
     use crate::replacement::ReplacementPolicy;
 
     fn test_pipeline(prefetch: PrefetcherConfig) -> CorePipeline {
-        CorePipeline::new(PipelineConfig {
+        CorePipeline::new(test_pipeline_config(prefetch))
+    }
+
+    fn test_pipeline_config(prefetch: PrefetcherConfig) -> PipelineConfig {
+        PipelineConfig {
             core: CoreConfig::new("test", 1.0, 1, 0, 1.0),
             caches: vec![
                 CacheConfig::new("L1", 4096, 4, 64)
@@ -1085,7 +1082,7 @@ mod tests {
             tlb_enabled: false,
             fastpath: true,
             analytic: false,
-        })
+        }
     }
 
     #[test]
@@ -1413,6 +1410,28 @@ mod tests {
                     .any(|ph| ph.channel_bytes.iter().sum::<u64>() > 0),
                 "levels={levels}: the workload must generate DRAM traffic"
             );
+        }
+    }
+
+    #[test]
+    fn analytic_arms_only_where_fast_forward_can_succeed() {
+        let cases = [
+            ("TLB on", true, true, false, false),
+            ("contended DRAM", false, true, true, false),
+            ("no fast path", false, false, false, false),
+            ("TLB off, uncontended", false, true, false, true),
+        ];
+        for (label, tlb_enabled, fastpath, contended, armed) in cases {
+            let mut dram = DramConfig::new(100, 4.0, 4);
+            dram.contended = contended;
+            let p = CorePipeline::new(PipelineConfig {
+                tlb_enabled,
+                fastpath,
+                dram,
+                analytic: true,
+                ..test_pipeline_config(PrefetcherConfig::None)
+            });
+            assert_eq!(p.analytic.is_some(), armed, "{label}");
         }
     }
 

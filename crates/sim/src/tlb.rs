@@ -162,22 +162,6 @@ impl Tlb {
         self.stats
     }
 
-    /// Mutable counter access (the analytic executor's exact scaled
-    /// advance writes counters back after fast-forwarding).
-    pub(crate) fn stats_mut(&mut self) -> &mut LevelStats {
-        &mut self.stats
-    }
-
-    /// Compare the *state* (not counters) against `base` under the
-    /// identity map: exact entries, exact hints/flags, recency stamps by
-    /// per-set order (the clock differs between any two points in time).
-    /// The analytic executor only fast-forwards address-shifting loops
-    /// with the TLB disabled, so a TLB state is never shifted — this
-    /// identity form covers the zero-delta (pure re-reference) loops.
-    pub(crate) fn ff_eq(&self, base: &Tlb) -> bool {
-        self.config == base.config && self.array.ff_shift_eq(&base.array, |vpn| vpn)
-    }
-
     /// Virtual page number of a byte address.
     #[must_use]
     #[inline]

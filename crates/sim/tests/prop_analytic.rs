@@ -14,10 +14,10 @@
 //! sub-line strides, page-straddling ranges, armed-line handoffs (RMW
 //! batches that leave lines armed for a later pass), and long unit-stride
 //! sweeps that actually engage fast-forward on the TLB-off variants. Both
-//! the stock presets (translation on — the planner's shape gates reject
-//! every nonzero stride) and their [`DeviceSpec::without_tlb`] variants
-//! (fast-forward eligible) are exercised, so the suite proves both "the
-//! gate refuses correctly" and "the extrapolation replays correctly".
+//! the stock presets (translation on — the executor never arms) and their
+//! [`DeviceSpec::without_tlb`] variants (fast-forward eligible) are
+//! exercised, so the suite proves both "an unarmed machine replays
+//! exactly" and "the extrapolation replays correctly".
 
 use membound_sim::{Device, DeviceSpec, Machine, SimReport};
 use membound_trace::TraceSink;
@@ -111,11 +111,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Analytic on, analytic off and the no-fastpath reference agree,
-    /// digest-for-digest, on all four presets with translation enabled.
-    /// (The planner refuses every nonzero-stride loop here, but
-    /// zero-line-shift periods — e.g. zero-stride batches — may still
-    /// legitimately fast-forward: a frozen-translation proof is vacuous
-    /// when nothing moves.)
+    /// digest-for-digest, on all presets with translation enabled
+    /// (where the executor is never armed, so "on" must equal "off").
     #[test]
     fn analytic_digest_matches_replay_and_reference_tlb_on(
         ops in proptest::collection::vec((0u8..8, 0u64..1 << 16, 0u32..1 << 16), 1..120),

@@ -540,12 +540,6 @@ impl Recorder {
         out.append(&mut self.buf);
     }
 
-    /// True when nothing is buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Re-materialize the `pending` already-matched ops of the tail
     /// `Repeat`'s unfinished iteration as plain ops after it. They were
     /// accepted by equality with `body[j].shifted(steps[j] * count)`, so

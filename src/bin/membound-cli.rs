@@ -61,12 +61,12 @@ fn usage() -> ! {
          \x20 --variant <ladder variant>|all            (default: all)\n\
          \x20 --threads N                               native thread count (0 = host)\n\
          \x20 --json                                    machine-readable output\n\
-         \x20 --analytic / --no-analytic                force the analytic trace-IR executor\n\
-         \x20                                           on/off (default: MEMBOUND_ANALYTIC, on)\n\
          kernel options:\n\
          \x20 stream:    --op copy|scale|add|triad|all  --level l1|l2|l3|dram|all\n\
          \x20 transpose: -n SIZE  --block SIZE\n\
-         \x20 blur:      --height H --width W --filter F"
+         \x20 blur:      --height H --width W --filter F\n\
+         environment:\n\
+         \x20 MEMBOUND_ANALYTIC=0   force full replay (analytic trace-IR executor off)"
     );
     std::process::exit(2);
 }
@@ -75,23 +75,16 @@ fn usage() -> ! {
 struct Opts {
     flags: HashMap<String, String>,
     json: bool,
-    /// `--analytic` / `--no-analytic`: process-wide override for the
-    /// analytic trace-IR executor (`None` leaves the `MEMBOUND_ANALYTIC`
-    /// environment default in force).
-    analytic: Option<bool>,
 }
 
 impl Opts {
     fn parse(args: &[String]) -> Self {
         let mut flags = HashMap::new();
         let mut json = false;
-        let mut analytic = None;
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--json" => json = true,
-                "--analytic" => analytic = Some(true),
-                "--no-analytic" => analytic = Some(false),
                 "--no-tlb" => {
                     flags.insert("no-tlb".to_owned(), "1".to_owned());
                 }
@@ -109,11 +102,7 @@ impl Opts {
                 }
             }
         }
-        Self {
-            flags,
-            json,
-            analytic,
-        }
+        Self { flags, json }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -603,9 +592,9 @@ struct TraceIrRow {
 /// kernel's core-0 emission — folded node counts, repeat nesting depth,
 /// and the static analytic-coverage estimate (the fraction of expanded
 /// elements inside loops that pass the fast-forward shape gates on the
-/// selected device). `--no-tlb` estimates against the device with
-/// translation disabled — the regime where nonzero-stride loops become
-/// eligible (DESIGN.md §15).
+/// selected device; 0% where the executor never arms). `--no-tlb`
+/// estimates against the device with translation disabled — the only
+/// regime where the executor arms (DESIGN.md §15).
 fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
     let mut table = TextTable::new(
         [
@@ -703,7 +692,8 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
         println!("trace IR, core 0 emission\n{}", table.render());
         println!(
             "analytic = static fast-forward coverage estimate (elements in loops\n\
-             passing the shape gates; runtime warm-up can still fall back)"
+             passing the shape gates; runtime warm-up can still fall back;\n\
+             0% with translation on or contended DRAM, where it never arms)"
         );
     }
     ExitCode::SUCCESS
@@ -714,7 +704,9 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
 /// enabled must produce byte-identical statistics to forced per-element
 /// replay — and non-vacuous: a TLB-off streaming workload must actually
 /// fast-forward (`analytic_ops > 0`), or the equality above proved
-/// nothing.
+/// nothing. Each cell runs on the device as modelled (translation on,
+/// where the executor never arms) and on its TLB-off variant, where the
+/// armed executor meets each real kernel family.
 fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
     let cfg_t = TransposeConfig::new(opts.num("n", 512));
     let cfg_b = blur_config(opts, 127, 159);
@@ -722,6 +714,7 @@ fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
         [
             "figure",
             "device",
+            "tlb",
             "variant",
             "analytic digest",
             "replay digest",
@@ -731,8 +724,11 @@ fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
         .to_vec(),
     );
     let mut failures = 0u32;
-    for device in opts.devices() {
-        let spec = device.spec();
+    let specs = opts
+        .devices()
+        .into_iter()
+        .flat_map(|d| [(d, "on", d.spec()), (d, "off", d.spec().without_tlb())]);
+    for (device, tlb, spec) in specs {
         let machines = || [true, false].map(|on| Machine::new(spec.clone()).with_analytic(on));
         let mut cells: Vec<(&str, &str, ReplayPair)> = Vec::new();
         for v in transpose_variants(opts) {
@@ -754,7 +750,12 @@ fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
                 failures += u32::from(on.stats_digest() != off.stats_digest());
             }
             table.row(gate_row(
-                vec![(*figure).into(), device.label().into(), (*variant).into()],
+                vec![
+                    (*figure).into(),
+                    device.label().into(),
+                    tlb.into(),
+                    (*variant).into(),
+                ],
                 pair,
             ));
         }
@@ -765,9 +766,9 @@ fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
         return ExitCode::FAILURE;
     }
     // Non-vacuity: the figures run with translation on, where the
-    // executor proves nothing and falls back (by design). A TLB-off
-    // single-pass triad must demonstrably fast-forward, or the digest
-    // equality above was vacuous.
+    // executor never arms, and nothing guarantees that a TLB-off figure
+    // cell fast-forwards. A TLB-off single-pass triad must demonstrably
+    // fast-forward, or the digest equality above was vacuous.
     let spec = Device::IntelXeon4310T.spec().without_tlb();
     let n = 1u64 << 25;
     let triad = move |_tid: u32, sink: &mut membound::sim::CorePipeline| {
@@ -1136,9 +1137,6 @@ fn main() -> ExitCode {
         return cmd_trace_ir(kernel, &opts);
     }
     let opts = Opts::parse(&args[1..]);
-    if let Some(v) = opts.analytic {
-        membound::sim::set_analytic_override(Some(v));
-    }
     if cmd == "strided-gate" {
         return cmd_strided_gate(&opts);
     }

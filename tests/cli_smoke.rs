@@ -2,11 +2,11 @@
 //!
 //! * `trace-ir` dumps a kernel's folded IR with a coverage estimate —
 //!   near-total for a TLB-off streaming loop, zero with translation on
-//!   (the fast-forward translation gate, DESIGN.md §15);
+//!   (the executor's arming rule, DESIGN.md §15);
 //! * `analytic-gate` proves digest identity between the analytic
 //!   executor and forced replay, non-vacuously;
-//! * `--analytic` / `--no-analytic` are accepted by the simulating
-//!   commands and do not change reported results.
+//! * `MEMBOUND_ANALYTIC=1` / `=0` do not change what the simulating
+//!   commands report.
 
 use std::process::Command;
 
@@ -21,8 +21,13 @@ struct TraceIrRow {
 }
 
 fn run(args: &[&str]) -> (String, String, bool) {
+    run_with(args, &[])
+}
+
+fn run_with(args: &[&str], env: &[(&str, &str)]) -> (String, String, bool) {
     let out = Command::new(CLI_BIN)
         .args(args)
+        .envs(env.iter().copied())
         .output()
         .expect("run membound-cli");
     (
@@ -55,8 +60,8 @@ fn trace_ir_folds_stream_and_estimates_coverage() {
         );
     }
 
-    // Same kernel with translation on: the shape gates reject every
-    // nonzero-stride loop, so the estimate collapses to zero.
+    // Same kernel with translation on: the executor never arms there,
+    // so the estimate collapses to zero.
     let (stdout, stderr, ok) = run(&["trace-ir", "stream", "--device", "xeon", "--json"]);
     assert!(ok, "trace-ir failed: {stderr}");
     let rows: Vec<TraceIrRow> = serde_json::from_str(stdout.trim()).expect("json rows");
@@ -91,29 +96,12 @@ fn analytic_gate_passes_on_a_subset() {
 
 #[test]
 fn analytic_flags_do_not_change_reported_results() {
-    let (on, stderr, ok) = run(&[
-        "stream",
-        "--device",
-        "mango",
-        "--op",
-        "triad",
-        "--level",
-        "dram",
-        "--json",
-        "--analytic",
-    ]);
-    assert!(ok, "stream --analytic failed: {stderr}");
-    let (off, stderr, ok) = run(&[
-        "stream",
-        "--device",
-        "mango",
-        "--op",
-        "triad",
-        "--level",
-        "dram",
-        "--json",
-        "--no-analytic",
-    ]);
-    assert!(ok, "stream --no-analytic failed: {stderr}");
+    let args = [
+        "stream", "--device", "mango", "--op", "triad", "--level", "dram", "--json",
+    ];
+    let (on, stderr, ok) = run_with(&args, &[("MEMBOUND_ANALYTIC", "1")]);
+    assert!(ok, "stream with MEMBOUND_ANALYTIC=1 failed: {stderr}");
+    let (off, stderr, ok) = run_with(&args, &[("MEMBOUND_ANALYTIC", "0")]);
+    assert!(ok, "stream with MEMBOUND_ANALYTIC=0 failed: {stderr}");
     assert_eq!(on, off, "analytic execution must be result-invisible");
 }
