@@ -37,61 +37,52 @@
 //!
 //! ```text
 //! <cache-dir>/
-//!   index.jsonl          append-only journal, one fsynced line per insert
+//!   index.jsonl          format marker: one header line, written once at open
 //!   objects/<key>.json   one entry: payload line + its own digest line
 //! ```
+//!
+//! The objects are the store: every entry is self-verifying, so a
+//! lookup restores a cell from its object file alone and nothing else
+//! records what the store holds. `index.jsonl` only marks the
+//! directory as a result cache of this format (a directory whose
+//! marker is foreign is refused); nothing appends to it. Builds that
+//! kept it as an append-only journal share stores with this one: their
+//! extra lines are ignored here, and their journal never was a source
+//! of truth.
 //!
 //! Writes follow the failure-safe persistent-object discipline of the
 //! run-log layer (detectable recovery, idempotent replay): an object is
 //! written with [`crate::telemetry::write_text_atomic`] (temp file in
-//! the same directory + rename), then one line is appended to the
-//! fsynced index. A crash between the two leaves a valid object that is
-//! merely unindexed — still a hit on lookup (objects are
-//! content-addressed; the index is an advisory journal for `stats`/`gc`,
-//! never a source of truth) and re-indexed by the next [`gc`]. A crash
-//! *during* either write leaves a `.tmp` file or a torn index line,
-//! both of which are detected and discarded, never trusted. Lookups
-//! re-verify every object end to end (self-digest, kind, versions,
-//! fingerprint, key); a corrupt object is deleted and the cell simply
-//! re-simulated.
+//! the same directory + rename). A crash mid-write leaves a `.tmp`
+//! file, which is ignored and reclaimed by [`gc`]; a crash after the
+//! rename leaves a complete, valid entry. Lookups re-verify every
+//! object end to end (self-digest, kind, versions, fingerprint, key); a
+//! corrupt object is deleted and the cell simply re-simulated.
 //!
 //! # Multi-process coordination
 //!
 //! One cache directory is shared by *processes*, not just threads: a
 //! `membound-serve` daemon inserts while `membound-cli cache gc`
-//! rebuilds, and several one-shot runs may share a warm store. Every
-//! *mutating* path — [`ResultCache::insert`]'s object-write + index
-//! append, [`gc`]'s walk + rebuild, and the open-time header check —
-//! holds an advisory [`membound_parallel::FsLock`] on `<dir>/.lock`
+//! reclaims, and several one-shot runs may share a warm store.
+//! [`ResultCache::insert`], [`gc`] and the open-time marker check hold
+//! an advisory [`membound_parallel::FsLock`] on `<dir>/.lock`
 //! (`flock(2)`: released by the kernel on crash, so a dead process can
-//! never wedge the store). Two single-process assumptions died with
-//! the daemon:
-//!
-//! * an insert's index line could land *between* `gc`'s object walk
-//!   and its index rewrite and be silently dropped — the object
-//!   survived but its journal line vanished;
-//! * a long-lived append descriptor kept writing to the *orphaned*
-//!   inode after `gc` renamed a fresh index into place, so every
-//!   subsequent insert's line went to a file nothing would ever read.
-//!
-//! Both are fixed the same way: each index append opens the index
-//! fresh *under the lock* (observing any rebuild that won the race)
-//! and `gc` holds the lock across walk + rewrite. Read-only paths
-//! ([`ResultCache::lookup`], [`survey`]) stay lock-free by design —
-//! they already tolerate concurrent mutation.
+//! never wedge the store). Its job is to keep `gc` from deleting an
+//! insert's in-flight `.tmp` file, and two first opens from both
+//! writing the marker. Read-only paths ([`ResultCache::lookup`],
+//! [`survey`]) stay lock-free by design — every object they read is
+//! complete or verifiably not.
 
 use crate::runner::{Cell, CellOutcome};
 use crate::telemetry::{self, SimRecord};
 use membound_parallel::FsLock;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-use std::io::{Read as _, Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Version of the cache's on-disk layout. Part of every [`CacheKey`]
 /// and every entry payload: bump it on any change to the object or
-/// index format, and old entries become unreachable (and reclaimable by
+/// marker format, and old entries become unreachable (and reclaimable by
 /// [`gc`]) instead of misread.
 pub const CACHE_FORMAT_VERSION: u32 = 1;
 
@@ -113,6 +104,37 @@ fn lock_cache_dir(dir: &Path) -> std::io::Result<FsLock> {
 
 fn index_header_line() -> String {
     format!("{{\"kind\":\"cache_header\",\"format_version\":{CACHE_FORMAT_VERSION}}}\n")
+}
+
+/// Check the format marker at `<dir>/index.jsonl`: `Ok(true)` when its
+/// first line is this format's header, `Ok(false)` when the marker is
+/// absent or empty (no store created here yet), and an error when the
+/// file belongs to something else. Lines after the header are ignored.
+fn check_marker(dir: &Path) -> std::io::Result<bool> {
+    let path = dir.join(INDEX_FILE);
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(e),
+    };
+    if text.is_empty() {
+        return Ok(false);
+    }
+    let first = text.lines().next().unwrap_or("");
+    let ok = serde_json::value_from_str(first).ok().is_some_and(|v| {
+        v.get("kind").and_then(serde::Value::as_str) == Some("cache_header")
+            && v.get("format_version").and_then(serde::Value::as_u64)
+                == Some(u64::from(CACHE_FORMAT_VERSION))
+    });
+    if ok {
+        Ok(true)
+    } else {
+        Err(std::io::Error::other(format!(
+            "{}: not a membound result-cache index (bad header line); \
+             refusing to touch the directory — move it aside or delete it",
+            path.display()
+        )))
+    }
 }
 
 /// Content address of one cell's result: 32 hex digits (a 128-bit
@@ -340,8 +362,11 @@ fn render_object(entry: &CacheEntry) -> String {
     format!("{payload}\n{digest}\n")
 }
 
-/// Parse and fully verify an object file's text.
-fn parse_object(text: &str) -> Result<CacheEntry, String> {
+/// Parse and fully verify an object file's text, stored under file stem
+/// `stem`. `Ok(None)` is a verifiable entry written under another
+/// fingerprint or older versions — unreachable from current keys; an
+/// error names the first check that failed.
+fn verify_object(text: &str, stem: &str, fingerprint: &str) -> Result<Option<CacheEntry>, String> {
     let mut lines = text.lines();
     let payload = lines.next().ok_or("empty object")?;
     let digest = lines.next().ok_or("missing digest line (torn write)")?;
@@ -357,14 +382,19 @@ fn parse_object(text: &str) -> Result<CacheEntry, String> {
     if entry.kind != "cache_entry" {
         return Err(format!("kind {:?}, expected \"cache_entry\"", entry.kind));
     }
-    Ok(entry)
-}
-
-/// How a surveyed object or index line was classified.
-fn is_stale(entry: &CacheEntry, fingerprint: &str) -> bool {
-    entry.format_version != CACHE_FORMAT_VERSION
+    if entry.key != stem {
+        return Err("stored under the wrong key".into());
+    }
+    if entry.format_version != CACHE_FORMAT_VERSION
         || entry.schema_version != telemetry::SCHEMA_VERSION
         || entry.fingerprint != fingerprint
+    {
+        return Ok(None);
+    }
+    if entry.outcome().is_none() {
+        return Err("inconsistent payload (status carries no result)".into());
+    }
+    Ok(Some(entry))
 }
 
 #[derive(Debug)]
@@ -375,10 +405,7 @@ struct Inner {
 
 /// Handle to one on-disk result cache; cheap to clone, safe to use from
 /// concurrent engine workers *and* concurrent processes (see the module
-/// docs). Deliberately holds no open index descriptor: each append
-/// reopens the index under the directory lock, so a handle that
-/// outlives a concurrent [`gc`] rebuild keeps appending to the *new*
-/// index instead of a renamed-away orphan inode.
+/// docs).
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     inner: Arc<Inner>,
@@ -390,9 +417,9 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Any I/O error creating the directory layout or the index, and a
-    /// corrupt or future-versioned index *header* (torn tail lines are
-    /// tolerated — see the module docs).
+    /// Any I/O error creating the directory layout or the format
+    /// marker, and a marker that is foreign or of another format
+    /// version.
     pub fn open(dir: &Path) -> std::io::Result<Self> {
         Self::open_with_fingerprint(dir, default_fingerprint())
     }
@@ -406,41 +433,8 @@ impl ResultCache {
     pub fn open_with_fingerprint(dir: &Path, fingerprint: &str) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir.join(OBJECTS_DIR))?;
         let _lock = lock_cache_dir(dir)?;
-        let index_path = dir.join(INDEX_FILE);
-        let existing = match std::fs::read_to_string(&index_path) {
-            Ok(text) => Some(text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        let mut index = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&index_path)?;
-        match existing.as_deref() {
-            None | Some("") => {
-                index.write_all(index_header_line().as_bytes())?;
-                index.sync_data()?;
-            }
-            Some(text) => {
-                let first = text.lines().next().unwrap_or("");
-                let ok = serde_json::value_from_str(first)
-                    .ok()
-                    .is_some_and(|v| index_header_ok(&v));
-                if !ok {
-                    return Err(std::io::Error::other(format!(
-                        "{}: not a membound result-cache index (bad header line); \
-                         refusing to append — move the directory aside or delete it",
-                        index_path.display()
-                    )));
-                }
-                // Heal a torn tail: without this, the next append would
-                // splice onto the half-written line and corrupt an
-                // otherwise parseable journal.
-                if !text.ends_with('\n') {
-                    index.write_all(b"\n")?;
-                    index.sync_data()?;
-                }
-            }
+        if !check_marker(dir)? {
+            telemetry::write_text_atomic(&dir.join(INDEX_FILE), &index_header_line())?;
         }
         Ok(Self {
             inner: Arc::new(Inner {
@@ -496,51 +490,26 @@ impl ResultCache {
                 return None;
             }
         };
-        let discard = |why: &str| {
-            eprintln!(
-                "warning: result cache: discarding corrupt entry {} ({why}); re-simulating",
-                path.display()
-            );
-            let _ = std::fs::remove_file(&path);
-        };
-        let entry = match parse_object(&text) {
+        match verify_object(&text, key.as_hex(), &self.inner.fingerprint) {
+            // `None` (stale) is only reachable when the object was
+            // renamed by hand: the fingerprint and versions are part of
+            // the key derivation.
             Ok(entry) => entry,
             Err(why) => {
-                discard(&why);
-                return None;
+                eprintln!(
+                    "warning: result cache: discarding corrupt entry {} ({why}); re-simulating",
+                    path.display()
+                );
+                let _ = std::fs::remove_file(&path);
+                None
             }
-        };
-        if entry.key != key.as_hex() {
-            discard("stored under the wrong key");
-            return None;
         }
-        if is_stale(&entry, &self.inner.fingerprint) {
-            // Only reachable when the object was renamed by hand: the
-            // fingerprint and versions are part of the key derivation.
-            return None;
-        }
-        if entry.outcome().is_none() {
-            discard("inconsistent payload (status carries no result)");
-            return None;
-        }
-        Some(entry)
     }
 
     /// Persist `entry` under `key`: take the directory's cross-process
-    /// lock, write the object atomically, call `mid` (the engine
-    /// threads its `cache` failpoint through here, *between* the
-    /// object rename and the index append — the exact window a crash
-    /// leaves an unindexed object), then append one fsynced line to a
-    /// freshly opened index.
-    ///
-    /// The whole rename + append sequence holds the lock, so a
-    /// concurrent [`gc`] rebuild either runs entirely before this
-    /// insert (and the fresh append lands in the rebuilt index) or
-    /// entirely after (and the walk sees the new object) — it can no
-    /// longer interleave and drop this entry's index line. A crash
-    /// *inside* the window still leaves only an unindexed object
-    /// (`flock` dies with the process), which is the already-recoverable
-    /// state.
+    /// lock, write the object atomically, then call `mid` (the engine
+    /// threads its `cache` failpoint through here, so an injected crash
+    /// lands right after the object rename, lock still held).
     ///
     /// Inserting a key that already has an object is an idempotent
     /// overwrite with identical content — concurrent workers and
@@ -549,9 +518,8 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Any I/O error from the lock, the object write, or the index
-    /// append. The engine treats an insert error as a warning, not a
-    /// run failure.
+    /// Any I/O error from the lock or the object write. The engine
+    /// treats an insert error as a warning, not a run failure.
     pub fn insert(
         &self,
         key: &CacheKey,
@@ -561,53 +529,8 @@ impl ResultCache {
         let _lock = lock_cache_dir(&self.inner.dir)?;
         telemetry::write_text_atomic(&self.object_path(key), &render_object(entry))?;
         mid();
-        let line = format!(
-            "{{\"kind\":\"insert\",\"key\":{:?},\"inserted_unix_ms\":{}}}\n",
-            key.as_hex(),
-            entry.inserted_unix_ms
-        );
-        self.append_index_line(&line)
+        Ok(())
     }
-
-    /// Append one line to the index, reopening it under the (already
-    /// held) directory lock. Reopening is the stale-descriptor fix: a
-    /// `gc` that rebuilt the index renamed a new file into place, and
-    /// only a fresh open observes it. A missing or empty index (first
-    /// insert, or a rebuild interrupted before its rename) gets its
-    /// header written first; a torn tail is healed exactly as at open.
-    fn append_index_line(&self, line: &str) -> std::io::Result<()> {
-        let index_path = self.inner.dir.join(INDEX_FILE);
-        let mut index = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&index_path)?;
-        let len = index.metadata()?.len();
-        if len == 0 {
-            index.write_all(index_header_line().as_bytes())?;
-        } else if last_byte(&index_path)? != Some(b'\n') {
-            index.write_all(b"\n")?;
-        }
-        index.write_all(line.as_bytes())?;
-        index.sync_data()
-    }
-}
-
-/// The final byte of the file at `path`, or `None` when it is empty.
-fn last_byte(path: &Path) -> std::io::Result<Option<u8>> {
-    let mut f = std::fs::File::open(path)?;
-    if f.metadata()?.len() == 0 {
-        return Ok(None);
-    }
-    f.seek(std::io::SeekFrom::End(-1))?;
-    let mut buf = [0u8; 1];
-    f.read_exact(&mut buf)?;
-    Ok(Some(buf[0]))
-}
-
-fn index_header_ok(v: &serde::Value) -> bool {
-    v.get("kind").and_then(serde::Value::as_str) == Some("cache_header")
-        && v.get("format_version").and_then(serde::Value::as_u64)
-            == Some(u64::from(CACHE_FORMAT_VERSION))
 }
 
 /// What a [`survey`] of a cache directory found.
@@ -624,14 +547,6 @@ pub struct CacheSurvey {
     pub corrupt: u64,
     /// Leftover `.tmp` files from interrupted atomic writes.
     pub temps: u64,
-    /// Live objects missing from the index (crash between object
-    /// rename and index append); still hits, re-indexed by [`gc`].
-    pub unindexed: u64,
-    /// Index lines whose object no longer exists.
-    pub dangling: u64,
-    /// Unparseable index lines (torn appends); harmless, cleaned by
-    /// [`gc`].
-    pub index_garbage: u64,
     /// Total bytes under `objects/`.
     pub object_bytes: u64,
     /// Human-readable description of every corrupt object found.
@@ -639,8 +554,8 @@ pub struct CacheSurvey {
 }
 
 impl CacheSurvey {
-    /// Whether every object verified (stale entries and index damage
-    /// are recoverable bookkeeping, not corruption).
+    /// Whether every object verified (stale entries and leftover temp
+    /// files are recoverable bookkeeping, not corruption).
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.corrupt == 0
@@ -656,9 +571,14 @@ enum ObjectClass {
     Stale,
     /// Fails verification; never trusted.
     Corrupt(String),
+    /// A `.tmp` leftover of an interrupted atomic write.
+    Temp,
 }
 
 fn classify_object(path: &Path, name: &str, fingerprint: &str) -> ObjectClass {
+    if name.ends_with(".tmp") {
+        return ObjectClass::Temp;
+    }
     let stem = name.strip_suffix(".json").unwrap_or("");
     if stem.len() != 32 || !stem.bytes().all(|b| b.is_ascii_hexdigit()) {
         return ObjectClass::Corrupt("not a cache object name".into());
@@ -667,51 +587,39 @@ fn classify_object(path: &Path, name: &str, fingerprint: &str) -> ObjectClass {
         Ok(text) => text,
         Err(e) => return ObjectClass::Corrupt(format!("unreadable: {e}")),
     };
-    let parsed = match parse_object(&text) {
-        Ok(parsed) => parsed,
-        Err(why) => return ObjectClass::Corrupt(why),
-    };
-    if parsed.key != stem {
-        return ObjectClass::Corrupt("stored under the wrong key".into());
+    match verify_object(&text, stem, fingerprint) {
+        Ok(Some(_)) => ObjectClass::Live,
+        Ok(None) => ObjectClass::Stale,
+        Err(why) => ObjectClass::Corrupt(why),
     }
-    if is_stale(&parsed, fingerprint) {
-        return ObjectClass::Stale;
-    }
-    if parsed.outcome().is_none() {
-        return ObjectClass::Corrupt("inconsistent payload (status carries no result)".into());
-    }
-    ObjectClass::Live
 }
 
-fn read_index_keys(dir: &Path) -> (BTreeSet<String>, u64) {
-    let mut keys = BTreeSet::new();
-    let mut garbage = 0u64;
-    let Ok(text) = std::fs::read_to_string(dir.join(INDEX_FILE)) else {
-        return (keys, garbage);
+/// The one object walk [`survey`] and [`gc`] share: classify every file
+/// under `<dir>/objects/` against `fingerprint` and hand it to `visit`
+/// with its path and size. A missing `objects/` walks as empty.
+fn walk_objects(
+    dir: &Path,
+    fingerprint: &str,
+    mut visit: impl FnMut(&Path, u64, ObjectClass) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let entries = match std::fs::read_dir(dir.join(OBJECTS_DIR)) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
     };
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::value_from_str(line) {
-            Ok(v) if i == 0 && index_header_ok(&v) => {}
-            Ok(v) if v.get("kind").and_then(serde::Value::as_str) == Some("insert") => {
-                match v.get("key").and_then(serde::Value::as_str) {
-                    Some(k) => {
-                        keys.insert(k.to_string());
-                    }
-                    None => garbage += 1,
-                }
-            }
-            _ => garbage += 1,
-        }
+    for entry in entries {
+        let entry = entry?;
+        let path = entry.path();
+        let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
+        let class = classify_object(&path, &entry.file_name().to_string_lossy(), fingerprint);
+        visit(&path, bytes, class)?;
     }
-    (keys, garbage)
+    Ok(())
 }
 
 /// Walk the cache at `dir`, verifying every object against
-/// `fingerprint` and cross-checking the index. Read-only: nothing is
-/// modified, so `verify` can run concurrently with live runs.
+/// `fingerprint`. Read-only: nothing is modified, so `verify` can run
+/// concurrently with live runs.
 ///
 /// # Errors
 ///
@@ -719,52 +627,26 @@ fn read_index_keys(dir: &Path) -> (BTreeSet<String>, u64) {
 /// dir surveys as empty.
 pub fn survey(dir: &Path, fingerprint: &str) -> std::io::Result<CacheSurvey> {
     let mut s = CacheSurvey::default();
-    let (indexed, garbage) = read_index_keys(dir);
-    s.index_garbage = garbage;
-    let objects = dir.join(OBJECTS_DIR);
-    let entries = match std::fs::read_dir(&objects) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            s.dangling = indexed.len() as u64;
-            return Ok(s);
-        }
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        s.object_bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-        if name.ends_with(".tmp") {
-            s.temps += 1;
-            continue;
-        }
-        match classify_object(&path, &name, fingerprint) {
-            ObjectClass::Live => {
-                s.live += 1;
-                let stem = name.strip_suffix(".json").unwrap_or("");
-                if !indexed.contains(stem) {
-                    s.unindexed += 1;
-                }
-            }
+    walk_objects(dir, fingerprint, |path, bytes, class| {
+        s.object_bytes += bytes;
+        match class {
+            ObjectClass::Live => s.live += 1,
             ObjectClass::Stale => s.stale += 1,
+            ObjectClass::Temp => s.temps += 1,
             ObjectClass::Corrupt(why) => {
                 s.corrupt += 1;
                 s.problems.push(format!("{}: {why}", path.display()));
             }
         }
-    }
-    s.dangling = indexed
-        .iter()
-        .filter(|k| !objects.join(format!("{k}.json")).exists())
-        .count() as u64;
+        Ok(())
+    })?;
     Ok(s)
 }
 
 /// What [`gc`] did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcOutcome {
-    /// Live entries kept (never removed, whatever the index said).
+    /// Live entries kept.
     pub kept: u64,
     /// Stale (wrong fingerprint/version) objects deleted.
     pub removed_stale: u64,
@@ -775,67 +657,39 @@ pub struct GcOutcome {
 }
 
 /// Reclaim the cache at `dir`: delete corrupt objects, `.tmp`
-/// leftovers, and entries stale under `fingerprint`, then atomically
-/// rewrite the index from the surviving live objects (which also
-/// re-indexes objects a crash left unindexed and drops dangling or
-/// garbage index lines). Live entries are never removed — recovery is
-/// idempotent.
+/// leftovers, and entries stale under `fingerprint`. Live entries are
+/// never removed — recovery is idempotent.
 ///
-/// The walk *and* the rewrite run under the directory's cross-process
-/// lock, so gc serializes against every concurrent [`ResultCache::insert`]
-/// (from this process or any other): an insert completes either before
-/// the walk (its object is kept and re-indexed) or after the rewrite
-/// (its fresh append lands in the rebuilt index) — never in between,
-/// where its index line used to be silently dropped.
+/// The marker is checked exactly as [`ResultCache::open`] checks it, so
+/// gc never deletes files from a directory that is not a result cache.
+/// The walk runs under the directory's cross-process lock, so it never
+/// deletes the `.tmp` file of an insert in flight.
 ///
 /// # Errors
 ///
-/// Filesystem errors taking the lock, walking `dir`, or rewriting the
-/// index.
+/// A missing or foreign format marker, and filesystem errors taking
+/// the lock, walking `dir`, or deleting files.
 pub fn gc(dir: &Path, fingerprint: &str) -> std::io::Result<GcOutcome> {
-    let mut out = GcOutcome::default();
-    let objects = dir.join(OBJECTS_DIR);
-    if !objects.exists() {
-        return Ok(out);
+    if !check_marker(dir)? {
+        return Err(std::io::Error::other(format!(
+            "{}: no result-cache format marker ({INDEX_FILE}); refusing to gc",
+            dir.display()
+        )));
     }
     let _lock = lock_cache_dir(dir)?;
-    let mut live = BTreeSet::new();
-    let entries = match std::fs::read_dir(&objects) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.ends_with(".tmp") {
-            std::fs::remove_file(&path)?;
-            out.removed_temps += 1;
-            continue;
-        }
-        match classify_object(&path, &name, fingerprint) {
+    let mut out = GcOutcome::default();
+    walk_objects(dir, fingerprint, |path, _, class| {
+        match class {
             ObjectClass::Live => {
-                live.insert(name.strip_suffix(".json").unwrap_or("").to_string());
                 out.kept += 1;
+                return Ok(());
             }
-            ObjectClass::Stale => {
-                std::fs::remove_file(&path)?;
-                out.removed_stale += 1;
-            }
-            ObjectClass::Corrupt(_) => {
-                std::fs::remove_file(&path)?;
-                out.removed_corrupt += 1;
-            }
+            ObjectClass::Stale => out.removed_stale += 1,
+            ObjectClass::Corrupt(_) => out.removed_corrupt += 1,
+            ObjectClass::Temp => out.removed_temps += 1,
         }
-    }
-    let mut index = index_header_line();
-    for key in &live {
-        index.push_str(&format!(
-            "{{\"kind\":\"insert\",\"key\":{key:?},\"inserted_unix_ms\":0}}\n"
-        ));
-    }
-    telemetry::write_text_atomic(&dir.join(INDEX_FILE), &index)?;
+        std::fs::remove_file(path)
+    })?;
     Ok(out)
 }
 
@@ -987,60 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn unindexed_objects_still_hit_and_gc_reindexes_them() {
-        let dir = test_dir("unindexed");
-        let cache = ResultCache::open_with_fingerprint(&dir, "fp").unwrap();
-        let cell = transpose_cell(128, TransposeVariant::Naive);
-        let (key, entry) = sample_entry(&cache, &cell);
-        // Simulate a crash between the object rename and the index
-        // append: write the object directly, never touch the index.
-        telemetry::write_text_atomic(
-            &dir.join(OBJECTS_DIR).join(format!("{}.json", key.as_hex())),
-            &render_object(&entry),
-        )
-        .unwrap();
-        assert!(cache.lookup(&key).is_some(), "unindexed object still hits");
-        let s = survey(&dir, "fp").unwrap();
-        assert_eq!((s.live, s.unindexed), (1, 1));
-        let g = gc(&dir, "fp").unwrap();
-        assert_eq!(g.kept, 1);
-        let s = survey(&dir, "fp").unwrap();
-        assert_eq!((s.live, s.unindexed), (1, 0), "gc re-indexed the object");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_index_tail_is_healed_on_reopen() {
-        let dir = test_dir("torn_index");
-        let cache = ResultCache::open_with_fingerprint(&dir, "fp").unwrap();
-        let cell = transpose_cell(128, TransposeVariant::Naive);
-        let (key, entry) = sample_entry(&cache, &cell);
-        cache.insert(&key, &entry, || {}).unwrap();
-        drop(cache);
-        // Tear the index mid-append.
-        let index_path = dir.join(INDEX_FILE);
-        let text = std::fs::read_to_string(&index_path).unwrap();
-        std::fs::write(&index_path, &text[..text.len() - 10]).unwrap();
-
-        let cache = ResultCache::open_with_fingerprint(&dir, "fp").unwrap();
-        assert!(
-            cache.lookup(&key).is_some(),
-            "objects are untouched by index damage"
-        );
-        let cell2 = transpose_cell(256, TransposeVariant::Naive);
-        let (key2, entry2) = sample_entry(&cache, &cell2);
-        cache.insert(&key2, &entry2, || {}).unwrap();
-        let s = survey(&dir, "fp").unwrap();
-        assert_eq!(s.live, 2);
-        assert_eq!(s.index_garbage, 1, "the torn line is isolated, not spliced");
-        assert!(s.is_clean());
-        let _ = gc(&dir, "fp").unwrap();
-        let s = survey(&dir, "fp").unwrap();
-        assert_eq!(s.index_garbage, 0, "gc rewrote the index");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn gc_removes_stale_and_corrupt_but_never_live() {
         let dir = test_dir("gc");
         let old = ResultCache::open_with_fingerprint(&dir, "fp-old").unwrap();
@@ -1070,50 +870,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Regression: a handle that outlives a `gc` rebuild used to keep
-    /// an append descriptor pointing at the *renamed-away* index inode,
-    /// so every later insert's journal line was written into the void.
-    /// With per-append reopens, an insert after gc must land in the
-    /// rebuilt index.
+    /// A `gc` racing an insert must never cost the insert its entry.
+    /// The insert is parked inside its locked section (right after the
+    /// object rename — the same point the engine's `cache` failpoint
+    /// site exposes) while gc is invited to interleave; whatever the
+    /// timing, every object must survive and hit.
     #[test]
-    fn inserts_after_gc_land_in_the_rebuilt_index() {
-        let dir = test_dir("stale_fd");
-        let cache = ResultCache::open_with_fingerprint(&dir, "fp").unwrap();
-        let (key_a, entry_a) = sample_entry(&cache, &transpose_cell(128, TransposeVariant::Naive));
-        cache.insert(&key_a, &entry_a, || {}).unwrap();
-
-        // Rebuild the index while the handle stays open.
-        let g = gc(&dir, "fp").unwrap();
-        assert_eq!(g.kept, 1);
-
-        let (key_b, entry_b) =
-            sample_entry(&cache, &transpose_cell(256, TransposeVariant::Blocking));
-        cache.insert(&key_b, &entry_b, || {}).unwrap();
-
-        let index = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
-        assert!(
-            index.contains(key_b.as_hex()),
-            "post-gc insert must append to the rebuilt index, not an orphan inode"
-        );
-        let s = survey(&dir, "fp").unwrap();
-        assert_eq!(
-            (s.live, s.unindexed, s.dangling, s.index_garbage),
-            (2, 0, 0, 0),
-            "{s:?}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Regression: a `gc` rebuild racing an insert could walk `objects/`
-    /// before the insert's rename and rewrite the index after its
-    /// append, dropping the live entry's index line. The directory lock
-    /// makes the two atomic with respect to each other: whatever the
-    /// timing, the store must end with every live object indexed. The
-    /// insert is parked mid-window (between rename and append — the
-    /// same hole the engine's `cache` failpoint site exposes) while gc
-    /// is invited to interleave.
-    #[test]
-    fn gc_racing_an_insert_never_drops_an_index_line() {
+    fn gc_racing_an_insert_never_drops_an_object() {
         let dir = test_dir("interleave");
         let cache = ResultCache::open_with_fingerprint(&dir, "fp").unwrap();
         let (key_a, entry_a) = sample_entry(&cache, &transpose_cell(128, TransposeVariant::Naive));
@@ -1124,8 +887,8 @@ mod tests {
         let in_window = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
             let gc_thread = scope.spawn(|| {
-                // Let the insert reach the rename→append window first so
-                // gc genuinely contends with a mid-flight insert.
+                // Let the insert reach its locked section first so gc
+                // genuinely contends with a mid-flight insert.
                 while !in_window.load(std::sync::atomic::Ordering::Acquire) {
                     std::thread::yield_now();
                 }
@@ -1142,18 +905,18 @@ mod tests {
             gc_thread.join().expect("gc thread");
         });
 
-        let index = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
-        assert!(index.contains(key_a.as_hex()), "pre-existing entry indexed");
-        assert!(
-            index.contains(key_b.as_hex()),
-            "racing insert's index line must survive the gc rebuild"
+        assert_eq!(
+            cache.lookup(&key_a),
+            Some(entry_a),
+            "pre-existing entry hits"
+        );
+        assert_eq!(
+            cache.lookup(&key_b),
+            Some(entry_b),
+            "racing insert's object must survive the gc"
         );
         let s = survey(&dir, "fp").unwrap();
-        assert_eq!(
-            (s.live, s.unindexed, s.dangling, s.index_garbage),
-            (2, 0, 0, 0),
-            "{s:?}"
-        );
+        assert_eq!((s.live, s.temps), (2, 0), "{s:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1167,6 +930,90 @@ mod tests {
             err.to_string()
                 .contains("not a membound result-cache index"),
             "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `gc` deletes files, so it must refuse exactly what `open`
+    /// refuses: a directory with a foreign marker keeps every file and
+    /// its marker, and a directory with no marker at all is no store.
+    #[test]
+    fn gc_refuses_foreign_and_unmarked_directories() {
+        let dir = test_dir("foreign_gc");
+        std::fs::create_dir_all(dir.join(OBJECTS_DIR)).unwrap();
+        let notes = dir.join(OBJECTS_DIR).join("notes.txt");
+        std::fs::write(&notes, "keep me\n").unwrap();
+
+        let err = gc(&dir, "fp").unwrap_err();
+        assert!(
+            err.to_string().contains("no result-cache format marker"),
+            "{err}"
+        );
+        assert!(notes.exists(), "unmarked directory left untouched");
+
+        let foreign = "this is not a cache index\n";
+        std::fs::write(dir.join(INDEX_FILE), foreign).unwrap();
+        let err = gc(&dir, "fp").unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("not a membound result-cache index"),
+            "{err}"
+        );
+        assert!(notes.exists(), "foreign file must not be gc'd");
+        assert_eq!(
+            std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap(),
+            foreign,
+            "foreign marker must not be overwritten"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// This build's inserts never touch the format marker. Builds that
+    /// kept `index.jsonl` as an append-only journal leave a header, one
+    /// `insert` line per entry, and possibly a torn last line; such a
+    /// store must open, hit every object, keep every live object
+    /// through gc, and take further inserts without its journal
+    /// changing by a byte.
+    #[test]
+    fn stores_with_an_append_only_journal_still_work() {
+        let dir = test_dir("journal");
+        let cache = ResultCache::open_with_fingerprint(&dir, "fp").unwrap();
+        let mut journal = index_header_line();
+        let mut stored = Vec::new();
+        for n in [64, 128, 256, 512] {
+            let (key, entry) = sample_entry(&cache, &transpose_cell(n, TransposeVariant::Naive));
+            cache.insert(&key, &entry, || {}).unwrap();
+            journal.push_str(&format!(
+                "{{\"kind\":\"insert\",\"key\":{:?},\"inserted_unix_ms\":{}}}\n",
+                key.as_hex(),
+                entry.inserted_unix_ms
+            ));
+            stored.push((key, entry));
+        }
+        let marker = dir.join(INDEX_FILE);
+        assert_eq!(
+            std::fs::read_to_string(&marker).unwrap(),
+            index_header_line()
+        );
+        journal.push_str("{\"kind\":\"insert\",\"ke");
+        std::fs::write(&marker, &journal).unwrap();
+        drop(cache);
+
+        let cache = ResultCache::open_with_fingerprint(&dir, "fp").expect("journal store opens");
+        for (key, entry) in &stored {
+            assert_eq!(cache.lookup(key).as_ref(), Some(entry), "{key} hits");
+        }
+        let g = gc(&dir, "fp").unwrap();
+        assert_eq!(g.kept, stored.len() as u64);
+        assert!(stored.iter().all(|(key, _)| cache.lookup(key).is_some()));
+
+        let (key, entry) = sample_entry(&cache, &transpose_cell(1024, TransposeVariant::Naive));
+        cache.insert(&key, &entry, || {}).unwrap();
+        assert_eq!(cache.lookup(&key), Some(entry));
+        assert_eq!(
+            std::fs::read_to_string(&marker).unwrap(),
+            journal,
+            "inserts leave the journal byte-identical"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -510,8 +510,8 @@ pub struct RunOptions {
     pub stream_log: Option<PathBuf>,
     /// Fault injection for crash-safety tests: checked once per cell
     /// *attempt* at site `"cell"` with the cell's matrix index, and
-    /// once per cache insert at site `"cache"` (between the object
-    /// rename and the index append — the widest recovery window).
+    /// once per cache insert at site `"cache"` (right after the object
+    /// rename, with the cache's directory lock still held).
     pub failpoint: Option<Failpoint>,
     /// Persistent content-addressed result cache (DESIGN.md §12):
     /// consulted before simulating each cell not already restored by

@@ -523,8 +523,8 @@ fn stale_fingerprint_entries_never_hit_and_gc_never_removes_live() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A crash injected between an object write and its index append
-    /// (failpoint site `cache`) at any cell and any jobs level leaves
+    /// A crash injected right after an object write (failpoint site
+    /// `cache`) at any cell and any jobs level leaves
     /// the store recoverable: the interrupted run's digests already
     /// match the clean run's, the warm re-run reproduces them again,
     /// and the store surveys clean afterwards.
@@ -625,18 +625,19 @@ fn committed_v6_fixture_validates_at_the_migrated_digest() {
 }
 
 /// Multi-process safety (DESIGN.md §12): an engine run inserting into
-/// the cache while `gc` rebuilds the index concurrently must lose
-/// nothing. The existing `cache` failpoint site parks one insert in
-/// its rename→append window (`cache:delay`), a racing thread runs
-/// `gc` against the same directory mid-run, and afterwards every live
-/// object must be indexed — the exact line the unlocked code dropped.
+/// the cache while `gc` reclaims concurrently must lose nothing. The
+/// existing `cache` failpoint site parks one insert inside its locked
+/// section (`cache:delay`), a racing thread runs `gc` against the same
+/// directory mid-run, and afterwards every racing object must survive
+/// and hit.
 #[test]
-fn gc_concurrent_with_an_inserting_run_keeps_every_index_line() {
+fn gc_concurrent_with_an_inserting_run_keeps_every_object() {
     let matrix = ladder_matrix();
     let total = matrix.len() as u64;
     let clean = Engine::new(2).run(&matrix);
     let dir = cache_dir("gc_race");
-    // Seed one entry so the racing gc always has an index to rebuild.
+    // Seed a store, then empty its objects so every cell of the racing
+    // run inserts.
     {
         let seeded = Engine::new(1)
             .run_with(&matrix, &with_cache(ResultCache::open(&dir).expect("open")))
@@ -666,11 +667,10 @@ fn gc_concurrent_with_an_inserting_run_keeps_every_index_line() {
     });
 
     let s = cache::survey(&dir, cache::default_fingerprint()).expect("survey");
-    assert_eq!(s.live, total, "{s:?}");
     assert_eq!(
-        (s.unindexed, s.dangling, s.index_garbage),
-        (0, 0, 0),
-        "no insert may lose its index line to a racing gc: {s:?}"
+        (s.live, s.temps),
+        (total, 0),
+        "no insert may lose its object to a racing gc: {s:?}"
     );
     let warm = Engine::new(2)
         .run_with(
@@ -684,8 +684,8 @@ fn gc_concurrent_with_an_inserting_run_keeps_every_index_line() {
 
 /// The rename-durability half of the torn-object story: the two states
 /// an un-fsynced directory entry can leave behind after power loss — a
-/// leftover `.tmp` (rename never happened) and an index line whose
-/// object vanished (rename rolled back) — must both be survivable.
+/// leftover `.tmp` (rename never happened) and an object that vanished
+/// (rename rolled back) — must both be survivable.
 /// Lookups miss and re-simulate to the clean digests, and `gc` restores
 /// a clean survey. (`write_text_atomic` now fsyncs the parent directory
 /// after rename precisely to make the second state unreachable on
@@ -700,8 +700,8 @@ fn lost_rename_and_leftover_temp_are_survivable() {
         .run_with(&matrix, &with_cache(ResultCache::open(&dir).expect("open")))
         .expect("cold run");
 
-    // Roll back one rename (object gone, index line dangling) and leave
-    // one interrupted temp behind.
+    // Roll back one rename (object gone) and leave one interrupted temp
+    // behind.
     let mut objects: Vec<_> = std::fs::read_dir(dir.join("objects"))
         .expect("objects dir")
         .map(|e| e.expect("entry").path())
@@ -711,7 +711,7 @@ fn lost_rename_and_leftover_temp_are_survivable() {
     std::fs::write(dir.join("objects").join(".x.json.tmp"), "half").expect("leftover temp");
 
     let s = cache::survey(&dir, cache::default_fingerprint()).expect("survey");
-    assert_eq!((s.live, s.dangling, s.temps), (total - 1, 1, 1), "{s:?}");
+    assert_eq!((s.live, s.temps), (total - 1, 1), "{s:?}");
     assert!(s.is_clean(), "a lost rename is damage, not corruption");
 
     // The warm run misses exactly the vanished cell and heals it.
@@ -728,8 +728,8 @@ fn lost_rename_and_leftover_temp_are_survivable() {
     assert_eq!(g.removed_temps, 1);
     let s = cache::survey(&dir, cache::default_fingerprint()).expect("survey");
     assert_eq!(
-        (s.live, s.dangling, s.temps, s.unindexed),
-        (total, 0, 0, 0),
+        (s.live, s.temps),
+        (total, 0),
         "gc rebuilt a fully consistent store: {s:?}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -4,7 +4,7 @@
 //! "survive" is only testable if a crash can be *produced* on demand at
 //! an exact, repeatable point. A [`Failpoint`] names one injection site
 //! (`"cell"` is the experiment engine's per-attempt site; `"cache"`
-//! fires between a result-cache object write and its index append, see
+//! fires right after a result-cache object write, see
 //! DESIGN.md §12), one index at that site, and one [`FailAction`] to
 //! perform when the site is hit:
 //!

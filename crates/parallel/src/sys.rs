@@ -27,14 +27,15 @@ use std::sync::Arc;
 /// aborts* — a crashed daemon can never leave the cache wedged, which
 /// is the property a create-exclusive lockfile protocol cannot give.
 /// Lock acquisition blocks until the current holder releases; critical
-/// sections under it are short (an index append or rebuild), so
+/// sections under it are short (one object write, or a `gc` walk), so
 /// waiting beats failing.
 ///
 /// Advisory means exactly that: only callers that take the lock are
-/// serialized. Every *mutating* cache path does; read-only paths
-/// (`lookup`, `survey`) stay lock-free by design — they already
-/// tolerate concurrent mutation (self-validating objects, torn-tail
-/// parsing).
+/// serialized. The result cache takes it to insert, to `gc`, and to
+/// write its format marker once at open; its job there is to stop a
+/// `gc` from deleting an insert's in-flight `.tmp` file. Read-only
+/// paths (`lookup`, `survey`) stay lock-free by design — every object
+/// they read is self-validating.
 #[derive(Debug)]
 pub struct FsLock {
     // Held only for its drop side effect: closing the file releases

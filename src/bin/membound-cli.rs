@@ -13,7 +13,8 @@
 //! membound-cli serve submit|status|cancel|shutdown --socket <path> [...]
 //! ```
 //!
-//! `--device all` (the default) sweeps the paper's four devices;
+//! `--device all` (the default) sweeps all six modelled devices and
+//! `--device paper` the paper's four;
 //! `--variant all` sweeps a kernel's whole ladder; `--threads 0` means
 //! "all host cores". Add `--json` to print machine-readable rows instead
 //! of a table.
@@ -57,7 +58,8 @@ fn usage() -> ! {
          \x20 serve submit|status|cancel|shutdown   talk to a membound-serve daemon\n\
          \x20                                 (--socket <path>; see `serve --help`)\n\
          common options:\n\
-         \x20 --device mangopi|starfive|rpi4|xeon|all   (default: all)\n\
+         \x20 --device mangopi|starfive|rpi4|xeon|sg2044|montecimone|paper|all\n\
+         \x20                                          (default: all six; paper = first four)\n\
          \x20 --variant <ladder variant>|all            (default: all)\n\
          \x20 --threads N                               native thread count (0 = host)\n\
          \x20 --json                                    machine-readable output\n\
@@ -812,7 +814,8 @@ fn cmd_analytic_gate(opts: &Opts) -> ExitCode {
 /// `--cache-dir`, falling back to `MEMBOUND_CACHE_DIR`. `verify` is
 /// read-only and exits nonzero iff any object fails verification —
 /// that is what the CI cache-incremental job keys on; stale entries
-/// and index damage are recoverable bookkeeping, reported but clean.
+/// and temp files are recoverable bookkeeping, reported but clean.
+/// `gc` refuses a directory without the cache's format marker.
 fn cmd_cache(args: &[String]) -> ExitCode {
     let Some(action) = args.first().map(String::as_str) else {
         eprintln!("cache requires an action: stats, gc, or verify");
@@ -844,18 +847,12 @@ fn cmd_cache(args: &[String]) -> ExitCode {
                  \x20 stale:         {}\n\
                  \x20 corrupt:       {}\n\
                  \x20 temp files:    {}\n\
-                 \x20 unindexed:     {}\n\
-                 \x20 dangling:      {}\n\
-                 \x20 index garbage: {}\n\
                  \x20 object bytes:  {}",
                 dir.display(),
                 s.live,
                 s.stale,
                 s.corrupt,
                 s.temps,
-                s.unindexed,
-                s.dangling,
-                s.index_garbage,
                 s.object_bytes,
             );
             for problem in &s.problems {
