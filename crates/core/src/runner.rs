@@ -41,9 +41,11 @@ use crate::telemetry::{self, CellRecord, PartialRunLog, RunHeader, SimRecord, St
 use crate::transpose::{traced::TransposeKernel, TransposeConfig, TransposeVariant};
 use membound_parallel::{Failpoint, JobBudget, Pool, Task};
 use membound_sim::{Device, DeviceSpec, Machine, SimReport};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -772,156 +774,65 @@ impl Engine {
         };
 
         // In-run dedupe: among the cells still to simulate, those whose
-        // [`Cell::trace_identity`] matches an earlier cell's replay the
-        // byte-identical trace on the identical device model, so only the
-        // first of each group (its *representative*) is dispatched to the
-        // pool; the rest reuse its outcome afterwards. Grouping follows
-        // matrix order, so the choice — and hence every digest-bearing
-        // field — is independent of the job count.
-        let mut rep_of: Vec<Option<usize>> = vec![None; n];
+        // [`Cell::trace_identity`] matches replay the byte-identical trace
+        // on the identical device model, so they form one *group*. Only
+        // the group's first cell (its *representative*) is dispatched to
+        // the pool; the rest reuse its outcome the moment it finishes.
+        // Grouping follows matrix order, so the choice — and hence every
+        // digest-bearing field — is independent of the job count.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
         {
-            let mut seen: std::collections::HashMap<String, usize> =
-                std::collections::HashMap::new();
+            let mut seen: HashMap<String, usize> = HashMap::new();
             for &index in &missing {
                 // A malformed cell (e.g. a hand-built zero block size)
                 // can panic while planning its trace; contain it here so
                 // it reaches the pool's per-attempt guard and is recorded
-                // as a panicked cell, exactly as without dedupe. It is
-                // simply never grouped.
+                // as a panicked cell, exactly as without dedupe. It
+                // forms a group of its own.
                 let identity =
                     catch_unwind(AssertUnwindSafe(|| matrix.cells[index].trace_identity()));
-                let Ok(identity) = identity else { continue };
+                let Ok(identity) = identity else {
+                    groups.push(vec![index]);
+                    continue;
+                };
                 match seen.entry(identity) {
-                    std::collections::hash_map::Entry::Occupied(rep) => {
-                        rep_of[index] = Some(*rep.get());
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(index);
+                    Entry::Occupied(group) => groups[*group.get()].push(index),
+                    Entry::Vacant(slot) => {
+                        slot.insert(groups.len());
+                        groups.push(vec![index]);
                     }
                 }
             }
         }
-        let unique: Vec<usize> = missing
-            .iter()
-            .copied()
-            .filter(|&i| rep_of[i].is_none())
-            .collect();
 
         // Seat convention: the calling thread is one already-leased
         // worker, so lease only the extras beyond it. On a contended
         // (or dry) shared budget `extra` may be partial or zero — the
         // pool shrinks down to the caller's thread alone, it never
         // oversubscribes.
-        let want_extra = (unique.len() as u32).min(self.jobs).max(1) - 1;
+        let want_extra = (groups.len() as u32).min(self.jobs).max(1) - 1;
         let extra = budget.lease(want_extra);
         let pool = Pool::new(extra.granted() + 1);
-        let budget_ref = budget;
         let retries = options.retries;
         let deadline = options.cell_deadline;
-        let tasks: Vec<Task<'_, (CellOutcome, f64, u32)>> = unique
+        let tasks: Vec<Task<'_, (CellOutcome, f64, u32)>> = groups
             .iter()
-            .map(|&index| {
+            .map(|group| {
+                let index = group[0];
                 let cell = &matrix.cells[index];
                 let b: Task<'_, (CellOutcome, f64, u32)> = Box::new(move || {
-                    execute_cell(cell, index, budget_ref, retries, deadline, failpoint)
+                    execute_cell(cell, index, budget, retries, deadline, failpoint)
                 });
                 b
             })
             .collect();
 
-        let missing_ref = &unique;
-        let state_ref = &state;
-        let keys_ref = &keys;
-        pool.run_tasks_with(tasks, move |k, result| {
-            let index = missing_ref[k];
-            let (outcome, wall_seconds, attempts) = match result {
-                Ok((outcome, wall, attempts)) => (outcome.clone(), *wall, *attempts),
-                // execute_cell contains its own panics; this arm only
-                // fires if the containment itself breaks.
-                Err(panic) => (CellOutcome::Panicked(panic.message.clone()), 0.0, 1),
-            };
-            // Persist the fresh result before publishing it. This runs
-            // on the worker thread that simulated the cell (the pool's
-            // completion hook), so inserts overlap with other cells'
-            // simulations; any insert failure (or injected `cache`
-            // failpoint panic) degrades to a warning, never a lost run.
-            if let (Some(c), Some(key)) = (cache, &keys_ref[index]) {
-                try_cache_insert(
-                    c,
-                    key,
-                    &matrix.cells[index],
-                    index,
-                    &outcome,
-                    wall_seconds,
-                    failpoint,
-                );
-            }
-            state_ref.lock().expect("stream state poisoned").insert(
-                index,
-                CellResult {
-                    cell: matrix.cells[index].clone(),
-                    outcome,
-                    wall_seconds,
-                    attempts,
-                    speedup_vs_naive: None,
-                    bandwidth_utilization: None,
-                },
-            );
-        });
-
-        // Publish the deduped cells, in matrix order, now that every
-        // representative has a result. Each dupe keeps its own per-cell
-        // failpoint site with full retry/deadline semantics (so
-        // crash-injection gates can still target it — see
-        // `run_attempts`), its own cache key (so warm-cache runs hit it
-        // directly), and its own run-log record — built from its own
-        // identity fields plus the representative's outcome, which is
-        // byte-identical to what simulating it would have produced. A
-        // representative that panicked / failed / timed out describes
-        // its *run*, not the cell's value, so its dupes simulate for
-        // real instead.
-        let mut deduped = 0u64;
-        for &index in &missing {
-            let Some(rep) = rep_of[index] else { continue };
-            let reusable = {
-                let state = state.lock().expect("stream state poisoned");
-                let rep_result = state
-                    .get(rep)
-                    .expect("representatives complete before their dupes");
-                match &rep_result.outcome {
-                    CellOutcome::Report(_)
-                    | CellOutcome::Gbps(_)
-                    | CellOutcome::DoesNotFit
-                    | CellOutcome::Restored(_)
-                    | CellOutcome::Cached(_) => Some(rep_result.outcome.clone()),
-                    CellOutcome::Panicked(_)
-                    | CellOutcome::Failed(_)
-                    | CellOutcome::TimedOut(_) => None,
-                }
-            };
-            let (outcome, wall_seconds, attempts) = match reusable {
-                Some(reuse) => {
-                    let result =
-                        run_attempts(index, retries, deadline, failpoint, || reuse.clone());
-                    if !matches!(
-                        result.0,
-                        CellOutcome::Panicked(_)
-                            | CellOutcome::Failed(_)
-                            | CellOutcome::TimedOut(_)
-                    ) {
-                        deduped += 1;
-                    }
-                    result
-                }
-                None => execute_cell(
-                    &matrix.cells[index],
-                    index,
-                    budget,
-                    retries,
-                    deadline,
-                    failpoint,
-                ),
-            };
+        // Persist a fresh result, then publish it. This runs on the
+        // worker thread that finished the group (the pool's completion
+        // hook), so inserts overlap with other groups' simulations; any
+        // insert failure (or injected `cache` failpoint panic) degrades
+        // to a warning, never a lost run.
+        let publish = |index: usize, (outcome, wall_seconds, attempts): (CellOutcome, f64, u32)| {
             if let (Some(c), Some(key)) = (cache, &keys[index]) {
                 try_cache_insert(
                     c,
@@ -944,7 +855,50 @@ impl Engine {
                     bandwidth_utilization: None,
                 },
             );
-        }
+        };
+        let deduped = AtomicU64::new(0);
+        let groups = &groups;
+        pool.run_tasks_with(tasks, |k, result| {
+            let (rep, dupes) = groups[k].split_first().expect("groups are never empty");
+            let rep_result = match result {
+                Ok((outcome, wall, attempts)) => (outcome.clone(), *wall, *attempts),
+                // execute_cell contains its own panics; this arm only
+                // fires if the containment itself breaks.
+                Err(panic) => (CellOutcome::Panicked(panic.message.clone()), 0.0, 1),
+            };
+            // A representative that panicked / failed / timed out
+            // describes its *run*, not the cell's value, so its dupes
+            // simulate for real instead.
+            let reuse =
+                (!dupes.is_empty() && !is_failure(&rep_result.0)).then(|| rep_result.0.clone());
+            publish(*rep, rep_result);
+            // Each dupe keeps its own failpoint site with full
+            // retry/deadline semantics (see `run_attempts`), its own
+            // cache key and its own run-log record — built from its own
+            // identity fields plus the representative's outcome, which
+            // is byte-identical to what simulating it would produce.
+            for &index in dupes {
+                let result = match &reuse {
+                    Some(outcome) => {
+                        let result =
+                            run_attempts(index, retries, deadline, failpoint, || outcome.clone());
+                        if !is_failure(&result.0) {
+                            deduped.fetch_add(1, Ordering::Relaxed);
+                        }
+                        result
+                    }
+                    None => execute_cell(
+                        &matrix.cells[index],
+                        index,
+                        budget,
+                        retries,
+                        deadline,
+                        failpoint,
+                    ),
+                };
+                publish(index, result);
+            }
+        });
 
         let state = state.into_inner().expect("stream state poisoned");
         debug_assert_eq!(state.flushed.len(), n, "every cell flushed");
@@ -953,7 +907,7 @@ impl Engine {
             jobs: self.jobs,
             restored,
             cached,
-            deduped,
+            deduped: deduped.into_inner(),
             cells: state.flushed,
         })
     }
@@ -1043,8 +997,9 @@ fn execute_cell(
 }
 
 /// The retry/deadline/failpoint loop of [`execute_cell`], generic over
-/// how the outcome is produced. Deduped cells reuse their
-/// representative's outcome as the `work` closure, so an injected
+/// how the outcome is produced. A deduped cell runs it in its group's
+/// completion hook, right after the representative finishes, with the
+/// representative's outcome as the `work` closure — so an injected
 /// `cell:*@N` failpoint aimed at a duplicate cell sees exactly the
 /// attempt semantics a simulated cell would: the failpoint fires inside
 /// the per-attempt panic guard, panics consume retries, and a delay
@@ -1100,6 +1055,15 @@ fn run_attempts<F: FnMut() -> CellOutcome>(
         CellOutcome::Failed(format!("{last_panic} (after {max_attempts} attempts)"))
     };
     (outcome, wall, max_attempts)
+}
+
+/// Whether `outcome` describes a failed run rather than the cell's
+/// value: such an outcome is neither reused by dupes nor cached.
+fn is_failure(outcome: &CellOutcome) -> bool {
+    matches!(
+        outcome,
+        CellOutcome::Panicked(_) | CellOutcome::Failed(_) | CellOutcome::TimedOut(_)
+    )
 }
 
 /// Persist one cell's outcome in the result cache, degrading every
@@ -1217,15 +1181,6 @@ struct StreamState<'m> {
 impl StreamState<'_> {
     fn contains(&self, index: usize) -> bool {
         index < self.flushed.len() || self.pending.contains_key(&index)
-    }
-
-    /// The result published for `index`, flushed or still pending.
-    fn get(&self, index: usize) -> Option<&CellResult> {
-        if index < self.flushed.len() {
-            Some(&self.flushed[index])
-        } else {
-            self.pending.get(&index)
-        }
     }
 
     fn insert(&mut self, index: usize, result: CellResult) {

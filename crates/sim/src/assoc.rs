@@ -104,8 +104,9 @@ fn scan_tags_dyn(tags: &[u64], key: u64) -> (u32, u32) {
 }
 
 /// Dispatch to a fully unrolled scan for the way counts the shipped
-/// device models use (2/4/8-way caches and TLBs, the C906's 10-entry and
-/// larger fully associative uTLBs).
+/// device models use (2/4/8-way caches and TLBs, the Xeon's 12-way
+/// L1D/L3 and 20-way L2, the C906's 10-entry and larger fully
+/// associative uTLBs).
 #[inline(always)]
 fn scan_tags(tags: &[u64], key: u64) -> (u32, u32) {
     match tags.len() {
@@ -113,7 +114,9 @@ fn scan_tags(tags: &[u64], key: u64) -> (u32, u32) {
         4 => scan_tags_fixed::<4>(tags, key),
         8 => scan_tags_fixed::<8>(tags, key),
         10 => scan_tags_fixed::<10>(tags, key),
+        12 => scan_tags_fixed::<12>(tags, key),
         16 => scan_tags_fixed::<16>(tags, key),
+        20 => scan_tags_fixed::<20>(tags, key),
         32 => scan_tags_fixed::<32>(tags, key),
         _ => scan_tags_dyn(tags, key),
     }
@@ -156,7 +159,9 @@ fn scan_oldest(stamps: &[u64]) -> u32 {
         4 => scan_oldest_fixed::<4>(stamps),
         8 => scan_oldest_fixed::<8>(stamps),
         10 => scan_oldest_fixed::<10>(stamps),
+        12 => scan_oldest_fixed::<12>(stamps),
         16 => scan_oldest_fixed::<16>(stamps),
+        20 => scan_oldest_fixed::<20>(stamps),
         32 => scan_oldest_fixed::<32>(stamps),
         _ => scan_oldest_dyn(stamps),
     }
@@ -746,6 +751,50 @@ mod tests {
         assert!(hit.is_none());
         let r = reserved.expect("LRU reserves a victim on miss");
         let _ = a.install_reserved(TAG_INVALID, 0, r);
+    }
+
+    /// Every width `scan_tags`/`scan_oldest` dispatch to a fixed scan
+    /// agrees with the generic loop on random sets: partly empty, with
+    /// the key present or absent, and with tied stamps.
+    #[test]
+    fn fixed_width_scans_match_the_dynamic_loops() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for ways in [2usize, 4, 8, 10, 12, 16, 20, 32] {
+            for _ in 0..500 {
+                // Distinct keys per way (unique within a set), some empty.
+                let tags: Vec<u64> = (0..ways as u64)
+                    .map(|w| {
+                        if next() % 4 == 0 {
+                            TAG_INVALID
+                        } else {
+                            w * 1000 + next() % 1000
+                        }
+                    })
+                    .collect();
+                let key = if next() % 2 == 0 {
+                    tags[(next() % ways as u64) as usize]
+                } else {
+                    next() % (ways as u64 * 1000)
+                };
+                assert_eq!(
+                    scan_tags(&tags, key),
+                    scan_tags_dyn(&tags, key),
+                    "{ways} ways, {tags:?}, key {key}"
+                );
+                let stamps: Vec<u64> = (0..ways).map(|_| next() % 8).collect();
+                assert_eq!(
+                    scan_oldest(&stamps),
+                    scan_oldest_dyn(&stamps),
+                    "{ways} ways, {stamps:?}"
+                );
+            }
+        }
     }
 
     #[test]
