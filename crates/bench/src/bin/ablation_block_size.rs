@@ -21,6 +21,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("ablation_block_size");
+    args.reject_engine_flags();
     let n = if args.full { 8192 } else { 2048 };
     println!("ABLATION: transpose block-size sweep, n = {n}");
     println!("{}\n", scale_banner(args.full));

@@ -25,6 +25,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("ablation_mlp");
+    args.reject_engine_flags();
     let n = if args.full { 8192 } else { 2048 };
     let cfg = TransposeConfig::new(n);
     println!("ABLATION: MLP sensitivity, transpose n = {n}");

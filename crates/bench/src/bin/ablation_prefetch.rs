@@ -24,6 +24,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("ablation_prefetch");
+    args.reject_engine_flags();
     let cfg = if args.full {
         figures::paper_blur(true)
     } else {

@@ -21,6 +21,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("ablation_replacement");
+    args.reject_engine_flags();
     let n = if args.full { 8192 } else { 2048 };
     let cfg = TransposeConfig::new(n);
     println!("ABLATION: StarFive cache replacement policy, transpose n = {n}");

@@ -23,6 +23,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("ablation_schedule");
+    args.reject_engine_flags();
     let n = if args.full { 8192 } else { 2048 };
     let cfg = TransposeConfig::new(n);
     println!("ABLATION: schedules on the triangular block loop, Xeon model, n = {n}");

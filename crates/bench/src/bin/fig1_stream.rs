@@ -7,9 +7,8 @@
 //! so the whole survey fans out across `--jobs` workers.
 
 use membound_bench::{scale_banner, Args};
-use membound_core::cache::CachedOutcome;
 use membound_core::report::{to_json, TextTable};
-use membound_core::runner::{Cell, CellOutcome, ExperimentMatrix};
+use membound_core::runner::{Cell, ExperimentMatrix};
 use membound_core::StreamOp;
 use serde::Serialize;
 
@@ -67,16 +66,7 @@ fn main() {
             .caches
             .iter()
             .any(|c| c.name == first.cell.panel && !c.shared);
-        let gbps: Vec<f64> = chunk
-            .iter()
-            .map(|r| match &r.outcome {
-                // A bandwidth served from the result cache must render
-                // exactly like a fresh one — a catch-all here would
-                // silently zero every cached STREAM bar.
-                CellOutcome::Gbps(g) | CellOutcome::Cached(CachedOutcome::Gbps(g)) => *g,
-                _ => 0.0,
-            })
-            .collect();
+        let gbps: Vec<f64> = chunk.iter().map(|r| r.gbps().unwrap_or(0.0)).collect();
         table.row(vec![
             first.cell.device.clone(),
             first.cell.panel.clone(),

@@ -1,13 +1,14 @@
 //! FIG3: relative memory-bandwidth utilization (§3.3 metric) of the naïve
 //! and the best optimized transposition, per device and matrix size.
 //!
-//! STREAM baselines and the transpose matrix both execute through the
-//! parallel experiment engine; the run log carries every cell's
-//! utilization. With `--cache-dir` (or `MEMBOUND_CACHE_DIR`) both cell
-//! kinds memoize into the persistent result cache, so a warm re-run
-//! reproduces the figure without simulating.
+//! Each device's STREAM baseline is a DRAM Triad cell placed ahead of
+//! the transpose ladders in one engine matrix ([`figures::fig3`]); the
+//! run log carries every cell's utilization. With `--cache-dir` (or
+//! `MEMBOUND_CACHE_DIR`) the baselines memoize into the persistent
+//! result cache like every other cell, so a warm re-run reproduces the
+//! figure without simulating.
 
-use membound_bench::{scale_banner, Args};
+use membound_bench::{exit_on_failed_baselines, scale_banner, stream_baseline, Args};
 use membound_core::figures;
 use membound_core::report::{to_json, TextTable};
 use serde::Serialize;
@@ -31,15 +32,7 @@ fn main() {
     println!("{}", scale_banner(args.full));
     println!("engine: {} jobs\n", engine.jobs());
 
-    // The §3.3 denominator: each device's STREAM DRAM bandwidth,
-    // measured in parallel.
-    let baselines = engine.stream_baselines(&devices);
-
-    let mut matrix = figures::transpose_ladders("fig3_transpose_util", &workloads, &devices);
-    for (label, gbps) in &baselines {
-        matrix.stream_baseline(label, *gbps);
-    }
-    let results = args.run_matrix(&engine, &matrix);
+    let results = args.run_matrix(&engine, &figures::fig3(args.full, &devices));
 
     let mut rows = Vec::new();
     for n in workloads.map(|cfg| cfg.n) {
@@ -61,11 +54,17 @@ fn main() {
                 .iter()
                 .filter(|r| r.cell.panel == n.to_string() && r.cell.device == device.label())
                 .collect();
-            let stream = baselines
-                .iter()
-                .find(|(l, _)| l == device.label())
-                .map(|(_, g)| *g)
-                .unwrap_or(0.0);
+            // The §3.3 denominator: the device's DRAM Triad cell.
+            let Some(stream) = stream_baseline(&results, device.label()) else {
+                table.row(vec![
+                    device.label().into(),
+                    "-".into(),
+                    "STREAM baseline failed".into(),
+                    "-".into(),
+                    "-".into(),
+                ]);
+                continue;
+            };
             let naive = ladder
                 .iter()
                 .find(|r| r.cell.variant == "Naive")
@@ -112,4 +111,5 @@ fn main() {
     );
     args.write_json(&to_json(&rows));
     args.write_run_log(&results);
+    exit_on_failed_baselines(&results, &devices);
 }

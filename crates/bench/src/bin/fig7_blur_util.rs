@@ -3,14 +3,15 @@
 //! labels computed against the 1D_kernels baseline exactly as the paper's
 //! Fig. 7 caption specifies.
 //!
-//! STREAM baselines and the blur cells run through the parallel
-//! experiment engine; utilizations come attached to the engine results.
-//! `--cache-dir` / `MEMBOUND_CACHE_DIR` memoizes both into the
-//! persistent result cache for incremental re-runs.
+//! Each device's STREAM baseline is a DRAM Triad cell placed ahead of
+//! the blur ladders in one engine matrix ([`figures::fig7`]), so
+//! utilizations come attached to the engine results. `--cache-dir` /
+//! `MEMBOUND_CACHE_DIR` memoizes the baselines and the blur cells alike
+//! into the persistent result cache for incremental re-runs.
 
-use membound_bench::{scale_banner, Args};
+use membound_bench::{exit_on_failed_baselines, scale_banner, stream_baseline, Args};
+use membound_core::figures;
 use membound_core::report::{to_json, TextTable};
-use membound_core::{figures, BlurVariant};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -23,25 +24,13 @@ struct Row {
 
 fn main() {
     let args = Args::parse("fig7_blur_util");
-    let cfg = figures::paper_blur(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("FIG7: relative memory-bandwidth utilization, Gaussian blur");
     println!("{}", scale_banner(args.full));
     println!("engine: {} jobs\n", engine.jobs());
 
-    let variants = [
-        BlurVariant::OneDimKernels,
-        BlurVariant::Memory,
-        BlurVariant::Parallel,
-    ];
-
-    let baselines = engine.stream_baselines(&devices);
-    let mut matrix = figures::blur_ladders("fig7_blur_util", cfg, &variants, &devices);
-    for (label, gbps) in &baselines {
-        matrix.stream_baseline(label, *gbps);
-    }
-    let results = args.run_matrix(&engine, &matrix);
+    let results = args.run_matrix(&engine, &figures::fig7(args.full, &devices));
 
     let mut table = TextTable::new(
         ["device", "variant", "utilization", "vs 1D_kernels"]
@@ -50,10 +39,19 @@ fn main() {
     );
     let mut rows = Vec::new();
     for device in &devices {
+        if stream_baseline(&results, device.label()).is_none() {
+            table.row(vec![
+                device.label().into(),
+                "-".into(),
+                "STREAM baseline failed".into(),
+                "-".into(),
+            ]);
+            continue;
+        }
         let utils: Vec<(String, f64)> = results
             .cells
             .iter()
-            .filter(|r| r.cell.device == device.label())
+            .filter(|r| r.cell.device == device.label() && r.cell.kind.kernel() == "blur")
             .map(|r| {
                 (
                     r.cell.variant.clone(),
@@ -87,4 +85,5 @@ fn main() {
     );
     args.write_json(&to_json(&rows));
     args.write_run_log(&results);
+    exit_on_failed_baselines(&results, &devices);
 }

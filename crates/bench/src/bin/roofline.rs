@@ -27,6 +27,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("roofline");
+    args.reject_engine_flags();
     println!("ROOFLINE: device ridge points vs kernel intensities\n");
 
     let kernels = [

@@ -9,14 +9,14 @@
 //! and the Pi's caches but not the RISC-V boards', so fusion helps
 //! exactly where the cache hierarchy can hold the window.
 //!
-//! Both variants and the STREAM baselines execute through the parallel
-//! experiment engine, and memoize into the persistent result cache when
-//! `--cache-dir` (or `MEMBOUND_CACHE_DIR`) is set.
+//! Both variants execute through the parallel experiment engine behind
+//! each device's STREAM baseline, a DRAM Triad cell of the same matrix
+//! ([`figures::whatif_fused`]); all of them memoize into the persistent
+//! result cache when `--cache-dir` (or `MEMBOUND_CACHE_DIR`) is set.
 
-use membound_bench::{scale_banner, Args};
+use membound_bench::{exit_on_failed_baselines, scale_banner, stream_baseline, Args};
+use membound_core::figures;
 use membound_core::report::{fmt_seconds, to_json, TextTable};
-use membound_core::runner::{Cell, ExperimentMatrix};
-use membound_core::{figures, BlurVariant};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,37 +33,13 @@ struct Row {
 
 fn main() {
     let args = Args::parse("whatif_fused");
-    let cfg = figures::paper_blur(args.full);
     let devices = args.devices();
     let engine = args.engine();
     println!("WHAT-IF: fused separable blur vs the paper's Parallel variant");
     println!("{}", scale_banner(args.full));
     println!("engine: {} jobs\n", engine.jobs());
 
-    let baselines = engine.stream_baselines(&devices);
-    let panel = format!("{}x{}", cfg.height, cfg.width);
-    let mut matrix = ExperimentMatrix::new("whatif_fused");
-    for (label, gbps) in &baselines {
-        matrix.stream_baseline(label, *gbps);
-    }
-    for device in &devices {
-        let spec = device.spec();
-        matrix.push(Cell::blur(
-            panel.clone(),
-            device.label(),
-            &spec,
-            BlurVariant::Parallel,
-            cfg,
-        ));
-        matrix.push(Cell::fused_blur(
-            panel.clone(),
-            device.label(),
-            &spec,
-            cfg,
-            spec.cores,
-        ));
-    }
-    let results = args.run_matrix(&engine, &matrix);
+    let results = args.run_matrix(&engine, &figures::whatif_fused(args.full, &devices));
 
     let mut table = TextTable::new(
         [
@@ -80,24 +56,35 @@ fn main() {
         .to_vec(),
     );
     let mut rows = Vec::new();
-    for pair in results.cells.chunks(2) {
+    // The (Parallel, Fused) pair of each device, after the baselines.
+    let blurs: Vec<_> = results
+        .cells
+        .iter()
+        .filter(|r| r.cell.kind.kernel() != "stream")
+        .collect();
+    for pair in blurs.chunks(2) {
         // sim_summary() covers fresh and --resume restored cells alike.
         let parallel = pair[0].sim_summary().expect("parallel blur always runs");
         let fused = pair[1].sim_summary().expect("fused blur always runs");
         let gain = parallel.seconds / fused.seconds;
-        let p_util = pair[0].bandwidth_utilization.unwrap_or(0.0);
-        let f_util = pair[1].bandwidth_utilization.unwrap_or(0.0);
         let device = pair[0].cell.device.clone();
-        table.row(vec![
+        let mut line = vec![
             device.clone(),
             fmt_seconds(parallel.seconds),
             fmt_seconds(fused.seconds),
             format!("x{gain:.2}"),
             (parallel.dram_bytes_total >> 20).to_string(),
             (fused.dram_bytes_total >> 20).to_string(),
-            format!("{p_util:.3}"),
-            format!("{f_util:.3}"),
-        ]);
+        ];
+        if stream_baseline(&results, &device).is_none() {
+            line.extend(["STREAM baseline failed".into(), "-".into()]);
+            table.row(line);
+            continue;
+        }
+        let p_util = pair[0].bandwidth_utilization.unwrap_or(0.0);
+        let f_util = pair[1].bandwidth_utilization.unwrap_or(0.0);
+        line.extend([format!("{p_util:.3}"), format!("{f_util:.3}")]);
+        table.row(line);
         rows.push(Row {
             device,
             parallel_seconds: parallel.seconds,
@@ -118,4 +105,5 @@ fn main() {
     );
     args.write_json(&to_json(&rows));
     args.write_run_log(&results);
+    exit_on_failed_baselines(&results, &devices);
 }

@@ -26,6 +26,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("whatif_future_devices");
+    args.reject_engine_flags();
     let dynamic = TransposeKernel::new(
         TransposeVariant::Dynamic,
         figures::paper_transpose(args.full)[0],

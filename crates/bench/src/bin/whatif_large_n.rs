@@ -104,6 +104,7 @@ fn run(machine: &Machine, triad: &LargeTriad) -> (SimReport, f64) {
 
 fn main() {
     let args = Args::parse("whatif_large_n");
+    args.reject_engine_flags();
     let elements: u64 = if args.full { 1 << 30 } else { 1 << 28 };
     let devices = args.devices();
     let triad = LargeTriad::new(elements);

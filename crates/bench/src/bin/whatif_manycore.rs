@@ -11,9 +11,7 @@
 //! isolate "more cores" from "a different memory system".
 
 use membound_bench::{scale_banner, Args};
-use membound_core::cache::CachedOutcome;
 use membound_core::report::{fmt_seconds, to_json, TextTable};
-use membound_core::runner::CellOutcome;
 use membound_core::{figures, GbmvVariant};
 use membound_sim::Device;
 use serde::Serialize;
@@ -64,10 +62,7 @@ fn main() {
     for chunk in results.cells.chunks(1 + GbmvVariant::all().len()) {
         let stream = &chunk[0];
         let cores: u32 = stream.cell.panel.parse().expect("panel is a core count");
-        let gbps = match &stream.outcome {
-            CellOutcome::Gbps(g) | CellOutcome::Cached(CachedOutcome::Gbps(g)) => *g,
-            _ => f64::NAN,
-        };
+        let gbps = stream.gbps().unwrap_or(f64::NAN);
         rows.push(Row {
             device: stream.cell.device.clone(),
             cores,

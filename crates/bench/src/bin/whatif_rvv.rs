@@ -26,6 +26,7 @@ struct Row {
 
 fn main() {
     let args = Args::parse("whatif_rvv");
+    args.reject_engine_flags();
     let cfg = figures::paper_blur(args.full);
     println!("WHAT-IF: RVV vectorization on the RISC-V boards (blur ladder)");
     println!("{}\n", scale_banner(args.full));

@@ -3,15 +3,19 @@
 //! Every binary in `src/bin` regenerates one table or figure of the paper
 //! (see DESIGN.md's experiment index): it prints a text table with the
 //! same rows/series the paper plots, and writes machine-readable JSON
-//! next to it under `results/`. The figure binaries additionally execute
-//! their experiment matrices through `membound_core::runner::Engine` and
-//! write a versioned JSONL run log (`membound_core::telemetry`).
+//! next to it under `results/`. The `fig*` binaries, `whatif_fused` and
+//! `whatif_manycore` additionally execute their experiment matrices
+//! through `membound_core::runner::Engine` and write a versioned JSONL
+//! run log (`membound_core::telemetry`); the nine that simulate in their
+//! own loops refuse the engine flags ([`Args::reject_engine_flags`]).
 
 #![warn(missing_docs)]
 
 use membound_core::cache::ResultCache;
 use membound_core::figures;
-use membound_core::runner::{resolve_jobs, Engine, ExperimentMatrix, RunOptions, RunResults};
+use membound_core::runner::{
+    resolve_jobs, CellResult, Engine, ExperimentMatrix, RunOptions, RunResults,
+};
 use membound_core::telemetry::parse_partial_run_log;
 use membound_parallel::Failpoint;
 use membound_sim::Device;
@@ -48,8 +52,14 @@ use std::path::PathBuf;
 ///   the fallback): cells whose configuration was simulated before are
 ///   restored instead of re-simulated, byte-identically in every
 ///   digest-bearing field; fresh results are inserted for next time.
+///
+/// The last five flags drive the experiment engine. A binary that does
+/// not run through it refuses them with [`Args::reject_engine_flags`]
+/// instead of ignoring them.
 #[derive(Debug, Clone)]
 pub struct Args {
+    /// The binary's name: the stem of its default output files.
+    pub name: String,
     /// Run the paper's full workload sizes.
     pub full: bool,
     /// Output path for JSON rows.
@@ -58,12 +68,13 @@ pub struct Args {
     pub jobs: Option<u32>,
     /// Device filter, if given.
     pub device_filter: Option<String>,
-    /// Output path for the JSONL run log.
-    pub run_log_path: PathBuf,
+    /// Output path for the JSONL run log, if given (the default is
+    /// `results/<name>.jsonl`).
+    pub run_log: Option<PathBuf>,
     /// Partial run log to resume from, if given.
     pub resume: Option<PathBuf>,
-    /// Per-cell retry budget for panicking cells.
-    pub retries: u32,
+    /// Per-cell retry budget for panicking cells, if given (default 0).
+    pub retries: Option<u32>,
     /// Per-cell wall-clock deadline in seconds, if given.
     pub cell_deadline: Option<f64>,
     /// Result-cache directory, if given (`--cache-dir`, else the
@@ -89,9 +100,9 @@ impl Args {
         let mut json_path = PathBuf::from(format!("results/{name}.json"));
         let mut jobs = None;
         let mut device_filter = None;
-        let mut run_log_path = PathBuf::from(format!("results/{name}.jsonl"));
+        let mut run_log = None;
         let mut resume = None;
-        let mut retries = 0;
+        let mut retries = None;
         let mut cell_deadline = None;
         let mut cache_dir = None;
         let mut args = std::env::args().skip(1);
@@ -112,8 +123,9 @@ impl Args {
                     device_filter = Some(args.next().expect("--device requires a device label"));
                 }
                 "--run-log" => {
-                    run_log_path =
-                        PathBuf::from(args.next().expect("--run-log requires a path argument"));
+                    run_log = Some(PathBuf::from(
+                        args.next().expect("--run-log requires a path argument"),
+                    ));
                 }
                 "--resume" => {
                     resume = Some(PathBuf::from(
@@ -123,9 +135,9 @@ impl Args {
                 }
                 "--retries" => {
                     let v = args.next().expect("--retries requires a count");
-                    retries = v.parse().unwrap_or_else(|_| {
+                    retries = Some(v.parse().unwrap_or_else(|_| {
                         panic!("--retries requires a non-negative integer, got {v:?}")
-                    });
+                    }));
                 }
                 "--cell-deadline" => {
                     let v = args.next().expect("--cell-deadline requires seconds");
@@ -151,15 +163,50 @@ impl Args {
             }
         }
         Self {
+            name: name.to_string(),
             full,
             json_path,
             jobs,
             device_filter,
-            run_log_path,
+            run_log,
             resume,
             retries,
             cell_deadline,
             cache_dir,
+        }
+    }
+
+    /// Where the JSONL run log goes: `--run-log`, else
+    /// `results/<name>.jsonl`.
+    #[must_use]
+    pub fn run_log_path(&self) -> PathBuf {
+        self.run_log
+            .clone()
+            .unwrap_or_else(|| PathBuf::from(format!("results/{}.jsonl", self.name)))
+    }
+
+    /// The first engine flag this invocation set, if any.
+    fn engine_flag(&self) -> Option<&'static str> {
+        [
+            ("--run-log", self.run_log.is_some()),
+            ("--resume", self.resume.is_some()),
+            ("--retries", self.retries.is_some()),
+            ("--cell-deadline", self.cell_deadline.is_some()),
+            ("--cache-dir", self.cache_dir.is_some()),
+        ]
+        .into_iter()
+        .find_map(|(flag, set)| set.then_some(flag))
+    }
+
+    /// Exit with a usage error (status 2) naming the first engine flag
+    /// given: for the binaries that simulate in their own loops.
+    pub fn reject_engine_flags(&self) {
+        if let Some(flag) = self.engine_flag() {
+            eprintln!(
+                "{}: {flag} needs the experiment engine, which this binary does not use",
+                self.name
+            );
+            std::process::exit(2);
         }
     }
 
@@ -224,9 +271,9 @@ impl Args {
         let cache = self.cache();
         let options = RunOptions {
             resume,
-            retries: self.retries,
+            retries: self.retries.unwrap_or(0),
             cell_deadline: self.cell_deadline,
-            stream_log: Some(self.run_log_path.clone()),
+            stream_log: Some(self.run_log_path()),
             failpoint: Failpoint::from_env(),
             cache,
         };
@@ -285,14 +332,14 @@ impl Args {
     /// Panics if the file cannot be written.
     pub fn write_run_log(&self, results: &membound_core::runner::RunResults) {
         results
-            .write_run_log(&self.run_log_path)
+            .write_run_log(&self.run_log_path())
             .expect("write run log");
         println!(
             "[run log ({} cells, jobs={}, digest {}) written to {}]",
             results.cells.len(),
             results.jobs,
             results.combined_digest(),
-            self.run_log_path.display()
+            self.run_log_path().display()
         );
     }
 }
@@ -307,19 +354,50 @@ pub fn scale_banner(full: bool) -> &'static str {
     }
 }
 
+/// A device's §3.3 STREAM baseline in `results`: the bandwidth of its
+/// DRAM Triad cell, or `None` when that cell panicked, failed or timed
+/// out — the device's other cells then carry no utilization.
+#[must_use]
+pub fn stream_baseline(results: &RunResults, device: &str) -> Option<f64> {
+    results
+        .cells
+        .iter()
+        .filter(|r| r.cell.device == device)
+        .find_map(CellResult::gbps)
+}
+
+/// Exit 1 naming every device whose STREAM baseline is missing from
+/// `results`. A utilization figure calls this last, after writing its
+/// rows and run log, so a `--resume` of that log can finish the run.
+pub fn exit_on_failed_baselines(results: &RunResults, devices: &[Device]) {
+    let failed: Vec<&str> = devices
+        .iter()
+        .map(|d| d.label())
+        .filter(|d| stream_baseline(results, d).is_none())
+        .collect();
+    if !failed.is_empty() {
+        eprintln!(
+            "error: STREAM baseline failed on {}: no utilization for its cells (see the run log)",
+            failed.join(", ")
+        );
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn args(full: bool) -> Args {
         Args {
+            name: "x".into(),
             full,
             json_path: PathBuf::from("x.json"),
             jobs: None,
             device_filter: None,
-            run_log_path: PathBuf::from("x.jsonl"),
+            run_log: None,
             resume: None,
-            retries: 0,
+            retries: None,
             cell_deadline: None,
             cache_dir: None,
         }
@@ -370,9 +448,57 @@ mod tests {
     }
 
     #[test]
+    fn engine_flags_are_named_when_set() {
+        let mut a = args(true);
+        assert_eq!(a.engine_flag(), None, "--full is not an engine flag");
+        assert_eq!(a.run_log_path(), PathBuf::from("results/x.jsonl"));
+        // Set in reverse order of report, so each is the first one set.
+        a.cache_dir = Some("d".into());
+        assert_eq!(a.engine_flag(), Some("--cache-dir"));
+        a.cell_deadline = Some(1.0);
+        assert_eq!(a.engine_flag(), Some("--cell-deadline"));
+        a.retries = Some(0);
+        assert_eq!(a.engine_flag(), Some("--retries"));
+        a.resume = Some("/nonexistent.jsonl".into());
+        assert_eq!(a.engine_flag(), Some("--resume"));
+        a.run_log = Some("r.jsonl".into());
+        assert_eq!(a.engine_flag(), Some("--run-log"));
+    }
+
+    #[test]
     fn engine_respects_explicit_jobs() {
         let mut a = args(false);
         a.jobs = Some(3);
         assert_eq!(a.engine().jobs(), 3);
+    }
+
+    #[test]
+    fn a_panicked_triad_cell_is_a_missing_baseline() {
+        let mango = Device::MangoPiMqPro;
+        let ladder = figures::transpose_ladders(
+            "x",
+            &figures::transpose_sizes(&[64], 16).unwrap(),
+            &[mango],
+        );
+        let matrix = figures::with_stream_baselines(&[mango], ladder);
+        let run = |spec: Option<&str>| {
+            let options = RunOptions {
+                failpoint: spec.map(|s| Failpoint::parse(s).expect("valid spec")),
+                ..RunOptions::default()
+            };
+            Engine::new(1).run_with(&matrix, &options).expect("run")
+        };
+        let clean = run(None);
+        assert_eq!(
+            stream_baseline(&clean, mango.label()),
+            clean.cells[0].gbps()
+        );
+        assert!(stream_baseline(&clean, mango.label()).is_some());
+        assert_eq!(stream_baseline(&clean, "Other"), None);
+        let broken = run(Some("cell:panic@0"));
+        assert_eq!(stream_baseline(&broken, mango.label()), None);
+        assert!(broken.cells[1..]
+            .iter()
+            .all(|r| r.bandwidth_utilization.is_none()));
     }
 }

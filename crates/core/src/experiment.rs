@@ -8,7 +8,7 @@
 //! analytic executor forced on or off) build the kernel and the machine
 //! themselves and call `simulate` directly.
 
-use crate::blur::{BlurConfig, BlurKernel, BlurVariant, FusedBlurKernel};
+use crate::blur::{BlurConfig, BlurKernel, BlurVariant};
 use crate::gbmv::{traced::GbmvKernel, GbmvConfig, GbmvVariant};
 use crate::kernel::simulate;
 use crate::stream::{cache_level_elements, dram_level_elements, StreamKernel, StreamOp};
@@ -90,19 +90,6 @@ pub fn simulate_blur(spec: &DeviceSpec, variant: BlurVariant, cfg: BlurConfig) -
         .expect("blur images are not checked against device memory")
 }
 
-/// Simulate the fused-blur extension (see `blur::fused`), replaying
-/// simulated cores serially: output bands split statically across
-/// `threads` cores (clamped to the device's), each with its own ring
-/// buffer.
-#[must_use]
-pub fn simulate_fused_blur(spec: &DeviceSpec, cfg: BlurConfig, threads: u32) -> SimReport {
-    simulate(
-        &Machine::new(spec.clone()),
-        &FusedBlurKernel::new(cfg, threads),
-    )
-    .expect("blur images are not checked against device memory")
-}
-
 /// One row of the Fig. 1 STREAM survey: a memory level with its four
 /// bandwidths.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -167,6 +154,7 @@ pub fn stream_dram_gbps(spec: &DeviceSpec) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blur::FusedBlurKernel;
     use membound_sim::Device;
 
     fn small_transpose(device: Device, variant: TransposeVariant) -> SimReport {
@@ -298,6 +286,14 @@ mod tests {
         assert_eq!(r.threads, 4);
     }
 
+    fn fused_blur(spec: &DeviceSpec, cfg: BlurConfig, threads: u32) -> SimReport {
+        simulate(
+            &Machine::new(spec.clone()),
+            &FusedBlurKernel::new(cfg, threads),
+        )
+        .expect("blur images are not checked against device memory")
+    }
+
     #[test]
     fn fused_blur_reduces_dram_traffic_where_the_ring_fits() {
         // The image must exceed the caches (so the Memory variant's tmp
@@ -306,7 +302,7 @@ mod tests {
         let cfg = BlurConfig::small(507, 636);
         let spec = Device::RaspberryPi4.spec();
         let parallel = simulate_blur(&spec, BlurVariant::Parallel, cfg);
-        let fused = simulate_fused_blur(&spec, cfg, spec.cores);
+        let fused = fused_blur(&spec, cfg, spec.cores);
         assert!(
             (fused.dram.bytes_total() as f64) < parallel.dram.bytes_total() as f64 * 0.8,
             "fusion must cut DRAM traffic: {} vs {}",
@@ -319,7 +315,7 @@ mod tests {
     #[test]
     fn fused_blur_clamps_thread_count_to_cores() {
         let spec = Device::StarFiveVisionFive.spec();
-        let r = simulate_fused_blur(&spec, BlurConfig::small(48, 64), 16);
+        let r = fused_blur(&spec, BlurConfig::small(48, 64), 16);
         assert_eq!(r.threads, 2);
     }
 

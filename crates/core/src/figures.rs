@@ -8,8 +8,9 @@
 //! digest because both call this code.
 //!
 //! The module also owns the workload-size defaults (paper scale under
-//! `--full`, scaled down otherwise), the device-axis rule, and the
-//! validation of caller-chosen ladder sizes.
+//! `--full`, scaled down otherwise), the device-axis rule, the
+//! validation of caller-chosen ladder sizes, and the placement of the
+//! §3.3 STREAM baselines ([`with_stream_baselines`]).
 
 use crate::blur::{BlurConfig, BlurVariant};
 use crate::gbmv::{GbmvConfig, GbmvVariant};
@@ -116,7 +117,7 @@ pub fn gbmv_sizes(sizes: &[usize]) -> Result<Vec<GbmvConfig>, String> {
 
 /// One variant ladder per (workload, device), workloads outermost: each
 /// workload is a panel, labelled with its name.
-fn ladders<W: Copy, V: Copy>(
+pub fn ladders<W: Copy, V: Copy>(
     figure: &str,
     workloads: impl IntoIterator<Item = (String, W)>,
     devices: &[Device],
@@ -184,6 +185,19 @@ pub fn gbmv_ladders(
     ladders(figure, panels, devices, &GbmvVariant::all(), Cell::gbmv)
 }
 
+/// `matrix` behind one DRAM Triad cell per device (panel `"DRAM"`, as
+/// in Fig. 1). Each is the device's STREAM baseline: the engine divides
+/// every later report cell of that device by its bandwidth for the §3.3
+/// utilization metric. A matrix without such cells gets no utilization.
+#[must_use]
+pub fn with_stream_baselines(devices: &[Device], mut matrix: ExperimentMatrix) -> ExperimentMatrix {
+    matrix.prepend(devices.iter().map(|device| {
+        let spec = device.spec();
+        Cell::stream("DRAM", device.label(), &spec, StreamOp::Triad, None)
+    }));
+    matrix
+}
+
 /// Fig. 2: the transposition ladder at both [`paper_transpose`] sizes.
 #[must_use]
 pub fn fig2(full: bool, devices: &[Device]) -> ExperimentMatrix {
@@ -194,6 +208,57 @@ pub fn fig2(full: bool, devices: &[Device]) -> ExperimentMatrix {
 #[must_use]
 pub fn fig6(full: bool, devices: &[Device]) -> ExperimentMatrix {
     blur_ladders("fig6_blur", paper_blur(full), &BlurVariant::all(), devices)
+}
+
+/// Fig. 3: the Fig. 2 transposition ladders behind each device's STREAM
+/// baseline, so every cell carries its utilization.
+#[must_use]
+pub fn fig3(full: bool, devices: &[Device]) -> ExperimentMatrix {
+    let ladders = transpose_ladders("fig3_transpose_util", &paper_transpose(full), devices);
+    with_stream_baselines(devices, ladders)
+}
+
+/// Fig. 7: the three optimized blur variants on the [`paper_blur`]
+/// image behind each device's STREAM baseline.
+#[must_use]
+pub fn fig7(full: bool, devices: &[Device]) -> ExperimentMatrix {
+    use BlurVariant::{Memory, OneDimKernels, Parallel};
+    let ladders = blur_ladders(
+        "fig7_blur_util",
+        paper_blur(full),
+        &[OneDimKernels, Memory, Parallel],
+        devices,
+    );
+    with_stream_baselines(devices, ladders)
+}
+
+/// The pass-fusion what-if: per device, the paper's Parallel blur then
+/// the fused extension on all cores, on the [`paper_blur`] image,
+/// behind each device's STREAM baseline.
+#[must_use]
+pub fn whatif_fused(full: bool, devices: &[Device]) -> ExperimentMatrix {
+    let cfg = paper_blur(full);
+    let panel = format!("{}x{}", cfg.height, cfg.width);
+    let mut matrix = ExperimentMatrix::new("whatif_fused");
+    for device in devices {
+        let spec = device.spec();
+        let label = device.label();
+        matrix.push(Cell::blur(
+            panel.as_str(),
+            label,
+            &spec,
+            BlurVariant::Parallel,
+            cfg,
+        ));
+        matrix.push(Cell::fused_blur(
+            panel.as_str(),
+            label,
+            &spec,
+            cfg,
+            spec.cores,
+        ));
+    }
+    with_stream_baselines(devices, matrix)
 }
 
 /// The many-core comparison: each device re-simulated at every point
@@ -242,6 +307,27 @@ mod tests {
         assert_eq!(paper_transpose(true).map(|c| c.n), [8192, 16384]);
         let cfg = paper_blur(true);
         assert_eq!((cfg.height, cfg.width), (2027, 2544));
+    }
+
+    #[test]
+    fn utilization_figures_lead_with_one_triad_cell_per_device() {
+        let devices = [Device::MangoPiMqPro, Device::RaspberryPi4];
+        for (m, ladder) in [
+            (fig3(false, &devices), 2 * 2 * 5),
+            (fig7(false, &devices), 2 * 3),
+            (whatif_fused(false, &devices), 2 * 2),
+        ] {
+            assert_eq!(m.len(), devices.len() + ladder, "{}", m.figure());
+            for (cell, device) in m.cells().iter().zip(devices) {
+                assert_eq!(cell.panel, "DRAM");
+                assert_eq!(cell.device, device.label());
+                assert_eq!(cell.variant, "Triad");
+                assert_eq!(cell.kind.kernel(), "stream");
+            }
+            assert!(m.cells()[devices.len()..]
+                .iter()
+                .all(|c| c.kind.kernel() != "stream"));
+        }
     }
 
     #[test]

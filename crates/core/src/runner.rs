@@ -6,15 +6,18 @@
 //! walk that matrix serially; this module shards it across
 //! [`membound_parallel::Pool::run_tasks`] instead:
 //!
-//! * [`ExperimentMatrix`] declares the cells (and optional per-device
-//!   STREAM baselines for the §3.3 utilization metric);
+//! * [`ExperimentMatrix`] declares the cells — the §3.3 utilization
+//!   metric's STREAM baseline included: it is an ordinary DRAM Triad
+//!   cell placed ahead of the cells it divides (see
+//!   [`crate::figures::with_stream_baselines`]);
 //! * [`Engine`] executes them on `jobs` worker threads — from `--jobs`,
 //!   the `MEMBOUND_JOBS` environment variable, or the host core count
 //!   (see [`resolve_jobs`]) — catching per-cell panics so one bad cell
 //!   cannot take down a whole figure run;
 //! * [`RunResults`] holds the outcomes *in cell order*, attaches
-//!   speedup-vs-baseline per ladder, and renders the versioned JSONL
-//!   run log of [`crate::telemetry`].
+//!   speedup-vs-baseline per ladder and utilization against the
+//!   device's Triad cell, and renders the versioned JSONL run log of
+//!   [`crate::telemetry`].
 //!
 //! The `jobs` value is one shared [`JobBudget`] across *two* nested
 //! parallel layers: the engine's per-cell sharding leases one slot per
@@ -35,12 +38,12 @@ use crate::blur::{BlurConfig, BlurKernel, BlurVariant, FusedBlurKernel};
 use crate::cache::{CacheEntry, CacheKey, CachedOutcome, ResultCache};
 use crate::gbmv::{traced::GbmvKernel, GbmvConfig, GbmvVariant};
 use crate::kernel::{simulate, TracedKernel};
-use crate::metrics::speedup;
+use crate::metrics::{bandwidth_utilization, speedup};
 use crate::stream::{StreamKernel, StreamOp};
 use crate::telemetry::{self, CellRecord, PartialRunLog, RunHeader, SimRecord, StreamingRunLog};
 use crate::transpose::{traced::TransposeKernel, TransposeConfig, TransposeVariant};
 use membound_parallel::{Failpoint, JobBudget, Pool, Task};
-use membound_sim::{Device, DeviceSpec, Machine, SimReport};
+use membound_sim::{DeviceSpec, Machine, SimReport};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -367,8 +370,8 @@ pub struct CellResult {
     /// baseline itself); `None` when the ladder has no baseline or the
     /// cell produced no report.
     pub speedup_vs_naive: Option<f64>,
-    /// The §3.3 utilization metric, when a STREAM baseline was declared
-    /// for the device.
+    /// The §3.3 utilization metric, when an earlier cell of the matrix
+    /// measured the device's DRAM Triad bandwidth.
     pub bandwidth_utilization: Option<f64>,
 }
 
@@ -418,6 +421,16 @@ impl CellResult {
             _ => None,
         }
     }
+
+    /// The measured bandwidth in GB/s of a STREAM cell, fresh, restored
+    /// from a `--resume` log or served from the result cache alike.
+    #[must_use]
+    pub fn gbps(&self) -> Option<f64> {
+        match &self.outcome {
+            CellOutcome::Gbps(g) | CellOutcome::Cached(CachedOutcome::Gbps(g)) => Some(*g),
+            _ => None,
+        }
+    }
 }
 
 /// A declared set of cells to execute.
@@ -425,7 +438,6 @@ impl CellResult {
 pub struct ExperimentMatrix {
     figure: String,
     cells: Vec<Cell>,
-    stream_baselines: Vec<(String, f64)>,
 }
 
 impl ExperimentMatrix {
@@ -435,7 +447,6 @@ impl ExperimentMatrix {
         Self {
             figure: figure.into(),
             cells: Vec::new(),
-            stream_baselines: Vec::new(),
         }
     }
 
@@ -445,10 +456,9 @@ impl ExperimentMatrix {
         self
     }
 
-    /// Declare a device's STREAM DRAM bandwidth so the engine can attach
-    /// the §3.3 utilization metric to that device's report cells.
-    pub fn stream_baseline(&mut self, device: &str, gbps: f64) -> &mut Self {
-        self.stream_baselines.push((device.into(), gbps));
+    /// Insert `cells`, in order, ahead of every cell declared so far.
+    pub fn prepend(&mut self, cells: impl IntoIterator<Item = Cell>) -> &mut Self {
+        self.cells.splice(0..0, cells);
         self
     }
 
@@ -462,12 +472,6 @@ impl ExperimentMatrix {
     #[must_use]
     pub fn cells(&self) -> &[Cell] {
         &self.cells
-    }
-
-    /// The declared STREAM baselines, as (device label, GB/s) pairs.
-    #[must_use]
-    pub fn baselines(&self) -> &[(String, f64)] {
-        &self.stream_baselines
     }
 
     /// Number of cells declared so far.
@@ -755,7 +759,6 @@ impl Engine {
         let state = Mutex::new(StreamState {
             flushed: Vec::with_capacity(n),
             pending: BTreeMap::new(),
-            baselines: &matrix.stream_baselines,
             writer,
             sink,
             total: n,
@@ -910,47 +913,6 @@ impl Engine {
             deduped: deduped.into_inner(),
             cells: state.flushed,
         })
-    }
-
-    /// Measure the STREAM DRAM (Triad) baseline of each device, in
-    /// parallel. Returns `(label, gbps)` pairs in input order, ready for
-    /// [`ExperimentMatrix::stream_baseline`].
-    ///
-    /// A device whose baseline task panics is *dropped from the result*
-    /// with a stderr warning rather than reported as `0.0` GB/s — a zero
-    /// baseline would silently zero every utilization figure on that
-    /// device, which is far harder to notice than a missing bar.
-    #[must_use]
-    pub fn stream_baselines(&self, devices: &[Device]) -> Vec<(String, f64)> {
-        let budget = JobBudget::new(self.jobs);
-        let outer = budget.lease((devices.len() as u32).min(self.jobs).max(1));
-        let pool = Pool::new(outer.granted().max(1));
-        let budget_ref = &budget;
-        let tasks: Vec<Task<'_, f64>> = devices
-            .iter()
-            .map(|device| {
-                let b: Task<'_, f64> = Box::new(move || {
-                    let machine = Machine::new(device.spec()).with_budget(budget_ref.clone());
-                    StreamKernel::new(StreamOp::Triad, None).measure(&machine)
-                });
-                b
-            })
-            .collect();
-        pool.run_tasks(tasks)
-            .into_iter()
-            .zip(devices)
-            .filter_map(|(r, device)| match r {
-                Ok(gbps) => Some((device.label().to_string(), gbps)),
-                Err(panic) => {
-                    eprintln!(
-                        "warning: STREAM baseline for device {:?} panicked \
-                         ({panic:?}); skipping its bandwidth-utilization metric",
-                        device.label()
-                    );
-                    None
-                }
-            })
-            .collect()
     }
 }
 
@@ -1131,28 +1093,28 @@ fn speedup_for(results: &[CellResult], m: usize) -> Option<f64> {
     Some(speedup(base, seconds))
 }
 
-/// The §3.3 utilization metric for one cell, when its kind has a
-/// nominal byte count and its device a declared STREAM baseline.
-/// Restored cells recompute through the same formula as
-/// [`SimReport::bandwidth_utilization`] on bit-identical seconds, so
-/// the value matches the original run's exactly.
-fn utilization_for(r: &CellResult, baselines: &[(String, f64)]) -> Option<f64> {
+/// The §3.3 utilization metric of cell `m`, when its kind has a nominal
+/// byte count: its simulated seconds against the bandwidth of the
+/// nearest earlier DRAM Triad cell on the same device (its STREAM
+/// baseline). Like [`speedup_for`] it only inspects indices `<= m`, and
+/// fresh, restored and cached cells go through the same formula on
+/// bit-identical seconds and bandwidths, so the value does not depend
+/// on how either cell was obtained.
+fn utilization_for(results: &[CellResult], m: usize) -> Option<f64> {
+    let r = &results[m];
     let nominal = r.cell.kind.nominal_bytes()?;
-    let &(_, gbps) = baselines.iter().find(|(d, _)| *d == r.cell.device)?;
-    match &r.outcome {
-        CellOutcome::Report(report) => Some(report.bandwidth_utilization(nominal, gbps)),
-        CellOutcome::Restored(rec) | CellOutcome::Cached(CachedOutcome::Sim(rec)) => {
-            // Mirrors SimReport::{achieved_gbps, bandwidth_utilization}
-            // (crates/sim/src/machine.rs) on the restored seconds; a
-            // unit test pins the two formulas together.
-            if rec.seconds <= 0.0 || gbps <= 0.0 {
-                Some(0.0)
-            } else {
-                Some(nominal as f64 / rec.seconds / 1e9 / gbps)
-            }
-        }
-        _ => None,
-    }
+    let seconds = sim_seconds(r)?;
+    let baseline = results[..m].iter().rev().find(|b| {
+        b.cell.device == r.cell.device
+            && matches!(
+                b.cell.kind,
+                CellKind::Stream {
+                    op: StreamOp::Triad,
+                    level: None
+                }
+            )
+    })?;
+    Some(bandwidth_utilization(nominal, seconds, baseline.gbps()?))
 }
 
 /// Accumulates cell results in matrix order and streams each one to the
@@ -1169,7 +1131,6 @@ fn utilization_for(r: &CellResult, baselines: &[(String, f64)]) -> Option<f64> {
 struct StreamState<'m> {
     flushed: Vec<CellResult>,
     pending: BTreeMap<usize, CellResult>,
-    baselines: &'m [(String, f64)],
     writer: Option<StreamingRunLog>,
     /// In-process record consumer ([`Engine::run_streamed`]): called in
     /// index order at flush time, fed the same records the writer
@@ -1190,8 +1151,7 @@ impl StreamState<'_> {
             let m = self.flushed.len();
             self.flushed.push(result);
             self.flushed[m].speedup_vs_naive = speedup_for(&self.flushed, m);
-            self.flushed[m].bandwidth_utilization =
-                utilization_for(&self.flushed[m], self.baselines);
+            self.flushed[m].bandwidth_utilization = utilization_for(&self.flushed, m);
             if self.writer.is_some() || self.sink.is_some() {
                 let record = cell_record(m as u64, &self.flushed[m]);
                 if let Some(writer) = &mut self.writer {
@@ -1492,14 +1452,24 @@ mod tests {
     }
 
     #[test]
-    fn utilization_attaches_when_a_baseline_is_declared() {
-        let mut matrix = small_matrix();
-        matrix.stream_baseline(Device::MangoPiMqPro.label(), 2.0);
+    fn utilization_divides_by_the_devices_triad_cell() {
+        let devices = [Device::MangoPiMqPro];
+        let matrix = crate::figures::with_stream_baselines(&devices, small_matrix());
         let results = Engine::new(2).run(&matrix);
-        for r in &results.cells {
-            let util = r.bandwidth_utilization.expect("baseline declared");
-            assert!(util > 0.0);
+        let triad = results.cells[0].gbps().expect("the baseline measures");
+        assert_eq!(results.cells[0].bandwidth_utilization, None);
+        for r in &results.cells[1..] {
+            let nominal = r.cell.kind.nominal_bytes().expect("transpose bytes");
+            let seconds = r.sim_summary().expect("a report").seconds;
+            let want = bandwidth_utilization(nominal, seconds, triad);
+            let got = r
+                .bandwidth_utilization
+                .expect("baseline precedes the ladder");
+            assert_eq!(got.to_bits(), want.to_bits(), "{}", r.cell.variant);
         }
+        // No Triad cell, no denominator.
+        let bare = Engine::new(2).run(&small_matrix());
+        assert!(bare.cells.iter().all(|r| r.bandwidth_utilization.is_none()));
     }
 
     #[test]

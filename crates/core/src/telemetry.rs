@@ -281,8 +281,8 @@ pub struct CellRecord {
     /// Speedup over the first cell of the same (panel, device, kernel)
     /// ladder, when the ladder has a baseline.
     pub speedup_vs_naive: Option<f64>,
-    /// The §3.3 relative bandwidth-utilization metric, when the matrix
-    /// carried a STREAM baseline for the device.
+    /// The §3.3 relative bandwidth-utilization metric, when an earlier
+    /// DRAM Triad cell of the matrix measured the device's bandwidth.
     pub bandwidth_utilization: Option<f64>,
     /// Panic message for `status == "panicked"`.
     pub error: Option<String>,

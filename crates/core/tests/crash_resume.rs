@@ -33,13 +33,26 @@ use proptest::prelude::*;
 
 /// A two-panel transpose ladder on the Mango Pi: 10 cells, all fast.
 fn ladder_matrix() -> ExperimentMatrix {
-    let mut matrix = figures::transpose_ladders(
+    figures::transpose_ladders(
         "crash_resume_test",
         &figures::transpose_sizes(&[96, 128], 16).unwrap(),
         &[Device::MangoPiMqPro],
-    );
-    matrix.stream_baseline(Device::MangoPiMqPro.label(), 2.0);
-    matrix
+    )
+}
+
+/// [`ladder_matrix`] behind the Mango Pi's DRAM Triad cell (index 0):
+/// the STREAM baseline every ladder cell's utilization divides by.
+fn baseline_matrix() -> ExperimentMatrix {
+    figures::with_stream_baselines(&[Device::MangoPiMqPro], ladder_matrix())
+}
+
+/// Each cell's utilization, as bits.
+fn utilizations(results: &RunResults) -> Vec<Option<u64>> {
+    results
+        .cells
+        .iter()
+        .map(|r| r.bandwidth_utilization.map(f64::to_bits))
+        .collect()
 }
 
 /// Every digest-bearing line fragment of a rendered run log: cell
@@ -366,6 +379,103 @@ fn incompatible_resume_logs_are_rejected() {
         )
         .expect_err("cell identity mismatch rejected");
     assert!(err.to_string().contains("cell 0"), "{err}");
+}
+
+#[test]
+fn a_panicking_baseline_is_a_recorded_cell_and_retries_recover_it() {
+    let matrix = baseline_matrix();
+    let clean = Engine::new(2).run(&matrix);
+    let run = |spec: &str, retries: u32| {
+        let options = RunOptions {
+            retries,
+            failpoint: Some(Failpoint::parse(spec).expect("valid spec")),
+            ..RunOptions::default()
+        };
+        Engine::new(2)
+            .run_with(&matrix, &options)
+            .expect("run with failpoint")
+    };
+
+    // No retry budget: the baseline is a panicked record in the log and
+    // the ladder, simulated as usual, has no denominator.
+    let lost = run("cell:panic@0", 0);
+    assert!(matches!(&lost.cells[0].outcome, CellOutcome::Panicked(_)));
+    let text = lost.render_run_log();
+    let baseline_line = text.lines().nth(1).expect("cell 0 line");
+    assert!(
+        baseline_line.contains("\"kernel\":\"stream\""),
+        "{baseline_line}"
+    );
+    assert!(
+        baseline_line.contains("\"status\":\"panicked\""),
+        "{baseline_line}"
+    );
+    for r in &lost.cells[1..] {
+        assert!(r.report().is_some(), "{}", r.cell.variant);
+        assert_eq!(r.bandwidth_utilization, None, "{}", r.cell.variant);
+    }
+    let summary = validate_run_log(&text).expect("a panicked baseline validates");
+    assert_eq!(summary.ok_cells, matrix.len() as u64 - 1);
+    // Stream cells stay outside the combined digest.
+    assert_eq!(lost.combined_digest(), clean.combined_digest());
+
+    // One panic, one retry: the baseline recovers and every utilization
+    // is the clean run's.
+    let recovered = run("cell:panic@0x1", 1);
+    assert_eq!(recovered.cells[0].attempts, 2, "one panic, one success");
+    assert_eq!(utilizations(&recovered), utilizations(&clean));
+    assert_eq!(digest_fields(&recovered), digest_fields(&clean));
+}
+
+#[test]
+fn utilization_is_bit_identical_fresh_resumed_and_cached() {
+    let matrix = baseline_matrix();
+    let fresh = Engine::new(2).run(&matrix);
+    let expected = digest_fields(&fresh);
+    let utils = utilizations(&fresh);
+    assert_eq!(utils[0], None, "the baseline has no utilization itself");
+    assert!(utils[1..].iter().all(Option::is_some));
+
+    // Cut before the baseline, right after it, and mid-ladder.
+    let log = fresh.render_run_log();
+    let lines: Vec<&str> = log.lines().collect();
+    for keep in [0usize, 1, 6] {
+        let truncated: String = lines[..=keep].iter().map(|l| format!("{l}\n")).collect();
+        let options = RunOptions {
+            resume: Some(parse_partial_run_log(&truncated).expect("truncated log parses")),
+            ..RunOptions::default()
+        };
+        let resumed = Engine::new(2)
+            .run_with(&matrix, &options)
+            .expect("resume runs");
+        assert_eq!(resumed.restored, keep as u64);
+        assert_eq!(utilizations(&resumed), utils, "resumed after {keep} cells");
+        assert_eq!(
+            digest_fields(&resumed),
+            expected,
+            "resumed after {keep} cells"
+        );
+    }
+
+    let dir = cache_dir("utilization");
+    let cold = Engine::new(2)
+        .run_with(&matrix, &with_cache(ResultCache::open(&dir).expect("open")))
+        .expect("cold run");
+    assert_eq!(digest_fields(&cold), expected);
+    let warm = Engine::new(2)
+        .run_with(
+            &matrix,
+            &with_cache(ResultCache::open(&dir).expect("reopen")),
+        )
+        .expect("warm run");
+    assert_eq!(
+        warm.cached,
+        matrix.len() as u64,
+        "the baseline is cached too"
+    );
+    assert_eq!(utilizations(&warm), utils);
+    assert_eq!(digest_fields(&warm), expected);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A fresh, empty cache directory for one test (removed leftovers from

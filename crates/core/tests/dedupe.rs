@@ -24,13 +24,11 @@ const DUPES: [usize; 4] = [1, 4, 6, 9];
 
 /// A two-panel transpose ladder on the Mango Pi: 10 cells, all fast.
 fn ladder_matrix() -> ExperimentMatrix {
-    let mut matrix = figures::transpose_ladders(
+    figures::transpose_ladders(
         "dedupe_test",
         &figures::transpose_sizes(&[96, 128], 16).unwrap(),
         &[Device::MangoPiMqPro],
-    );
-    matrix.stream_baseline(Device::MangoPiMqPro.label(), 2.0);
-    matrix
+    )
 }
 
 fn run(jobs: u32, matrix: &ExperimentMatrix, failpoint: Option<&str>) -> RunResults {

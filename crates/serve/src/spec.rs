@@ -136,7 +136,10 @@ mod tests {
         assert_eq!(m.cells()[0].panel, "2048");
         assert_eq!(m.cells()[0].variant, "Naive");
         assert_eq!(m.cells().last().unwrap().panel, "4096");
-        assert!(m.baselines().is_empty(), "fig2 carries no baselines");
+        assert!(
+            m.cells().iter().all(|c| c.kind.kernel() != "stream"),
+            "fig2 carries no stream cells"
+        );
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! of a table.
 
 use membound::core::cache;
-use membound::core::experiment::{
-    simulate_blur, simulate_stream, simulate_stream_survey, simulate_transpose, stream_dram_gbps,
-};
+use membound::core::experiment::{simulate_stream, simulate_stream_survey};
+use membound::core::figures;
 use membound::core::metrics::{attach_speedups, Measurement};
 use membound::core::report::{fmt_seconds, fmt_speedup, to_json, TextTable};
+use membound::core::runner::{resolve_jobs, Cell, CellOutcome, Engine, ExperimentMatrix};
 use membound::core::{
     blur_native, run_native_stream, simulate, transpose_native, BlurConfig, BlurKernel,
     BlurVariant, GbmvConfig, GbmvKernel, GbmvVariant, SquareMatrix, StreamOp, StreamTrace,
@@ -265,74 +265,67 @@ fn cmd_stream(opts: &Opts) {
     println!("{}", table.render());
 }
 
-/// Simulate a kernel ladder on every selected device and print it with
-/// speedups and the §3.3 utilization. `ladder(spec)` returns each
-/// variant's label and report (`None` when the workload does not fit).
-fn simulated_ladder(
-    opts: &Opts,
-    nominal_bytes: u64,
-    ladder: impl Fn(&DeviceSpec) -> Vec<(&'static str, Option<SimReport>)>,
-) {
+/// Run `ladders` through the engine behind each device's STREAM baseline
+/// and print them with the speedups and §3.3 utilizations the engine
+/// attaches.
+fn simulated_ladders(opts: &Opts, devices: &[Device], ladders: ExperimentMatrix) {
+    let matrix = figures::with_stream_baselines(devices, ladders);
+    let results = Engine::new(resolve_jobs(None)).run(&matrix);
     let mut table = TextTable::new(
         ["device", "variant", "threads", "time", "speedup", "BW util"]
             .map(String::from)
             .to_vec(),
     );
-    let mut all_rows = Vec::new();
-    for device in opts.devices() {
-        let spec = device.spec();
-        let stream = stream_dram_gbps(&spec);
-        let mut measured = Vec::new();
-        for (variant, report) in ladder(&spec) {
-            let Some(r) = report else {
-                table.row(vec![
-                    device.label().into(),
-                    variant.into(),
-                    "-".into(),
-                    "does not fit in memory".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
-                continue;
-            };
-            let mut m = Measurement::new(variant, device.label(), r.threads, r.seconds);
-            m.bandwidth_utilization = Some(r.bandwidth_utilization(nominal_bytes, stream));
-            measured.push(m);
-        }
-        attach_speedups(&mut measured);
-        for m in &measured {
+    let mut rows = Vec::new();
+    for r in &results.cells {
+        let Some(sim) = r.sim_summary() else {
+            if r.gbps().is_some() {
+                continue; // a STREAM baseline
+            }
+            // Anything else is a panicked simulation: fail the command.
+            assert_eq!(r.outcome, CellOutcome::DoesNotFit, "{}", r.cell.variant);
             table.row(vec![
-                m.device.clone(),
-                m.variant.clone(),
-                m.threads.to_string(),
-                fmt_seconds(m.seconds),
-                fmt_speedup(m.speedup_vs_naive),
-                format!("{:.3}", m.bandwidth_utilization.unwrap_or(0.0)),
+                r.cell.device.clone(),
+                r.cell.variant.clone(),
+                "-".into(),
+                "does not fit in memory".into(),
+                "-".into(),
+                "-".into(),
             ]);
-        }
-        all_rows.extend(measured);
+            continue;
+        };
+        let m = Measurement {
+            speedup_vs_naive: r.speedup_vs_naive.unwrap_or(0.0),
+            bandwidth_utilization: r.bandwidth_utilization,
+            ..Measurement::new(&r.cell.variant, &r.cell.device, sim.threads, sim.seconds)
+        };
+        table.row(vec![
+            m.device.clone(),
+            m.variant.clone(),
+            m.threads.to_string(),
+            fmt_seconds(m.seconds),
+            fmt_speedup(m.speedup_vs_naive),
+            format!("{:.3}", m.bandwidth_utilization.unwrap_or(0.0)),
+        ]);
+        rows.push(m);
     }
-    emit(opts, table, &all_rows);
+    emit(opts, table, &rows);
 }
 
 fn cmd_transpose(opts: &Opts) {
     let cfg = TransposeConfig::with_block(opts.num("n", 2048), opts.num("block", 64));
-    simulated_ladder(opts, cfg.nominal_bytes(), |spec| {
-        transpose_variants(opts)
-            .into_iter()
-            .map(|v| (v.label(), simulate_transpose(spec, v, cfg)))
-            .collect()
-    });
+    let devices = opts.devices();
+    let panels = [(cfg.n.to_string(), cfg)];
+    let variants = transpose_variants(opts);
+    let ladders = figures::ladders("transpose", panels, &devices, &variants, Cell::transpose);
+    simulated_ladders(opts, &devices, ladders);
 }
 
 fn cmd_blur(opts: &Opts) {
     let cfg = blur_config(opts, 507, 636);
-    simulated_ladder(opts, cfg.nominal_bytes(), |spec| {
-        blur_variants(opts)
-            .into_iter()
-            .map(|v| (v.label(), Some(simulate_blur(spec, v, cfg))))
-            .collect()
-    });
+    let devices = opts.devices();
+    let ladders = figures::blur_ladders("blur", cfg, &blur_variants(opts), &devices);
+    simulated_ladders(opts, &devices, ladders);
 }
 
 /// The blur workload from `--height`/`--width`/`--filter`.

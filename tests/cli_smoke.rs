@@ -7,6 +7,9 @@
 //!   executor and forced replay, non-vacuously;
 //! * `MEMBOUND_ANALYTIC=1` / `=0` do not change what the simulating
 //!   commands report.
+//!
+//! Plus the simulated ladders: `transpose` runs its cells through the
+//! engine behind the device's STREAM baseline cell.
 
 use std::process::Command;
 
@@ -18,6 +21,16 @@ struct TraceIrRow {
     nodes: u64,
     repeat: u64,
     coverage_percent: f64,
+}
+
+#[derive(serde::Deserialize)]
+struct LadderRow {
+    variant: String,
+    device: String,
+    threads: u32,
+    seconds: f64,
+    speedup_vs_naive: f64,
+    bandwidth_utilization: Option<f64>,
 }
 
 fn run(args: &[&str]) -> (String, String, bool) {
@@ -104,4 +117,42 @@ fn analytic_flags_do_not_change_reported_results() {
     let (off, stderr, ok) = run_with(&args, &[("MEMBOUND_ANALYTIC", "0")]);
     assert!(ok, "stream with MEMBOUND_ANALYTIC=0 failed: {stderr}");
     assert_eq!(on, off, "analytic execution must be result-invisible");
+}
+
+#[test]
+fn transpose_ladder_reports_speedups_and_utilization() {
+    let (stdout, stderr, ok) = run(&[
+        "transpose",
+        "--device",
+        "mango",
+        "-n",
+        "256",
+        "--block",
+        "32",
+        "--json",
+    ]);
+    assert!(ok, "transpose failed: {stderr}");
+    let rows: Vec<LadderRow> = serde_json::from_str(stdout.trim()).expect("json rows");
+    let variants: Vec<&str> = rows.iter().map(|r| r.variant.as_str()).collect();
+    assert_eq!(
+        variants,
+        [
+            "Naive",
+            "Parallel",
+            "Blocking",
+            "Manual_blocking",
+            "Dynamic"
+        ],
+        "one row per ladder variant, no STREAM row"
+    );
+    assert_eq!(rows[0].speedup_vs_naive, 1.0);
+    for row in &rows {
+        assert_eq!(row.device, rows[0].device);
+        assert_eq!(row.threads, 1, "the Mango Pi has one core");
+        assert!(row.seconds > 0.0, "{}", row.variant);
+        let util = row
+            .bandwidth_utilization
+            .expect("the baseline cell precedes");
+        assert!(util > 0.0, "{}: utilization {util}", row.variant);
+    }
 }
