@@ -196,8 +196,9 @@ pub struct SimRecord {
     /// *whether* steady states were extrapolated without perturbing the
     /// digest-equality checks. `None` only when read from a pre-v7 log.
     pub analytic_ops: Option<u64>,
-    /// Expanded elements that fell back to concrete replay after the
-    /// analytic planner considered and refused them
+    /// Expanded elements an armed analytic executor replayed raw —
+    /// everything it did not fast-forward, so nonzero exactly when a core
+    /// armed and was handed work
     /// ([`membound_sim::SimReport::replay_fallback_ops`], summed over
     /// cores). `None` only when read from a pre-v7 log.
     pub replay_fallback_ops: Option<u64>,

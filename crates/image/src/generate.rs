@@ -97,13 +97,6 @@ pub fn impulse(
     img
 }
 
-/// The full-size stand-in for the paper's photograph: a 2544 × 2027
-/// three-channel test pattern.
-#[must_use]
-pub fn paper_image() -> Image {
-    test_pattern(PAPER_HEIGHT, PAPER_WIDTH, 3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

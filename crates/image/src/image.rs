@@ -167,12 +167,6 @@ impl Image {
         &mut self.data
     }
 
-    /// Consume the image and return its pixel buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Bytes occupied by the pixel buffer.
     #[must_use]
     pub fn size_bytes(&self) -> u64 {

@@ -224,11 +224,6 @@ impl Cache {
         self.stats
     }
 
-    /// Reset counters (state is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = LevelStats::default();
-    }
-
     /// Mutable counter access (the analytic executor's exact scaled
     /// advance writes counters back after fast-forwarding).
     pub(crate) fn stats_mut(&mut self) -> &mut LevelStats {

@@ -199,6 +199,8 @@ impl CorePipeline {
         }
         exposed[n] = cfg.core.exposed_subcycles(cfg.dram.latency_cycles);
         full_latency[n] = u64::from(cfg.dram.latency_cycles) << SUBCYCLE_SHIFT;
+        let analytic = analytic::arms(cfg.analytic, cfg.fastpath, cfg.tlb_enabled, &cfg.dram)
+            .then(|| Box::new(Analytic::new(&cfg.caches, &cfg.prefetchers)));
         let dram_channels = if cfg.dram.contended {
             cfg.dram.channels
         } else {
@@ -231,8 +233,7 @@ impl CorePipeline {
             strided_batches: 0,
             walk_memo: [None; MAX_WALK_LEVELS],
             walk_upper_node: None,
-            analytic: analytic::arms(cfg.analytic, cfg.fastpath, cfg.tlb_enabled, &cfg.dram)
-                .then(|| Box::new(Analytic::new())),
+            analytic,
         }
     }
 
@@ -724,10 +725,11 @@ impl CorePipeline {
     /// translate + demand flow, with two short-circuits — the repeat-line
     /// fast path for a line that is still armed, and a DTLB repeat-hit
     /// bump for lines within the page translated immediately before
-    /// (whose VPN is by construction the DTLB's MRU entry).
-    pub(crate) fn raw_access_range(&mut self, addr: u64, len: u64, write: bool) {
+    /// (whose VPN is by construction the DTLB's MRU entry). Returns the
+    /// number of lines probed.
+    pub(crate) fn raw_access_range(&mut self, addr: u64, len: u64, write: bool) -> u64 {
         if len == 0 {
-            return;
+            return 0;
         }
         let shift = self.line_bytes.trailing_zeros();
         let end = addr.saturating_add(len);
@@ -763,6 +765,7 @@ impl CorePipeline {
                 self.arm(line, slot);
             }
         }
+        last - first + 1
     }
 
     /// Bulk constant-stride run: one dispatch for the whole batch, with
@@ -1048,8 +1051,7 @@ pub(crate) struct CoreOutcome {
     pub strided_batches: u64,
     /// Elements advanced analytically (fast-forwarded, never executed).
     pub analytic_ops: u64,
-    /// Elements replayed raw inside fast-forward-attempted ops that
-    /// could not be proven periodic.
+    /// Elements the armed analytic executor replayed raw.
     pub replay_fallback_ops: u64,
 }
 

@@ -173,9 +173,11 @@ pub struct SimReport {
     /// [`SimReport::stats_digest`].
     #[serde(default)]
     pub analytic_ops: u64,
-    /// Elements replayed raw inside analytic-attempted ops whose
-    /// steady state could not be proven (digest-excluded, like
-    /// `analytic_ops`).
+    /// Elements an armed analytic executor replayed raw: ops that are
+    /// not loops, loops it refused, and the warm-up and remainder of the
+    /// loops it fast-forwarded (0 when no core armed). With
+    /// `analytic_ops` it sums to every expanded element an armed core was
+    /// handed (DESIGN.md §15). Digest-excluded, like `analytic_ops`.
     #[serde(default)]
     pub replay_fallback_ops: u64,
 }

@@ -254,15 +254,6 @@ impl PageWalk {
         }
     }
 
-    /// A two-level walk (32-bit style, used in ablations).
-    #[must_use]
-    pub fn two_level() -> Self {
-        Self {
-            levels: 2,
-            overhead_cycles: 6,
-        }
-    }
-
     /// Synthetic PTE byte addresses for walking `vpn`, placed in a
     /// dedicated high address region so they never alias user data.
     ///

@@ -9,15 +9,17 @@
 //! 3. the [`Machine::without_fastpath`] reference build (which cannot run
 //!    the analytic executor at all).
 //!
-//! The generated scripts deliberately cover the shapes the analytic
-//! planner must either prove periodic or *refuse*: negative, zero and
-//! sub-line strides, page-straddling ranges, armed-line handoffs (RMW
-//! batches that leave lines armed for a later pass), and long unit-stride
-//! sweeps that actually engage fast-forward on the TLB-off variants. Both
-//! the stock presets (translation on — the executor never arms) and their
-//! [`DeviceSpec::without_tlb`] variants (fast-forward eligible) are
-//! exercised, so the suite proves both "an unarmed machine replays
-//! exactly" and "the extrapolation replays correctly".
+//! The generated scripts cover the shapes an armed executor records:
+//! negative, zero and sub-line strides, page-straddling ranges, armed-line
+//! handoffs (RMW batches that leave lines armed for a later pass) and long
+//! unit-stride sweeps. The executor plans only recorded loops: the batch
+//! ops prove the armed machine's raw replay, and the sweeps are emitted
+//! per element so they fold into a `Repeat` that fast-forward engages on
+//! the TLB-off variants (`script_sweeps_fast_forward` keeps that so). Both the stock
+//! presets (translation on — the executor never arms) and their
+//! [`DeviceSpec::without_tlb`] variants are exercised, so the suite proves
+//! both "an unarmed machine replays exactly" and "the extrapolation
+//! replays correctly".
 
 use membound_sim::{Device, DeviceSpec, Machine, SimReport};
 use membound_trace::TraceSink;
@@ -68,13 +70,14 @@ fn replay<S: TraceSink>(ops: &[Op], sink: &mut S) {
                 }
             }
             6 => sink.barrier(),
-            // Long unit-stride sweep: on Mango's 8 KiB fold modulus this
-            // is enough iterations for the planner to prove a steady
-            // state and fast-forward (TLB off), so the proptest corpus
-            // exercises extrapolation, not just fallback.
+            // Long unit-stride sweep, emitted per element so it folds
+            // into a `Repeat` (only recorded loops are fast-forwarded):
+            // 2048+ lines are at least 16 chunks of Mango's 8 KiB modulus.
             _ => {
                 let base = 0x4000_0000_0000 + (raw_addr % 8) * (1 << 21);
-                sink.access_strided(base, 64, 2048 + raw_addr % 2048, 8, op % 2 == 0);
+                for i in 0..2048 + raw_addr % 2048 {
+                    sink.load(base + i * 64, 8);
+                }
             }
         }
     }
@@ -136,23 +139,41 @@ proptest! {
     }
 }
 
+/// The script's sweep op must reach fast-forward where the executor arms
+/// (TLB off, Mango's 8 KiB modulus), or the TLB-off soak above would only
+/// ever prove raw replay.
+#[test]
+fn script_sweeps_fast_forward() {
+    let ops: [Op; 3] = [(5, 17, 6), (7, 3, 0), (7, 1000, 0)];
+    let spec = Device::MangoPiMqPro.spec().without_tlb();
+    let analytic = assert_three_way(&spec, &ops, "Mango Pi (no TLB)");
+    assert!(
+        analytic.analytic_ops > 0,
+        "the script's sweeps must fast-forward on Mango: {analytic:?}"
+    );
+}
+
 /// Deterministic armed-handoff soak: an RMW pass arms every line of a
 /// region, then a long unit-stride load sweep (the fast-forward headline
-/// shape) re-reads it, then a second RMW pass rewrites it. The planner
-/// must either carry the armed bits through extrapolation exactly or
-/// refuse; digest identity proves whichever it chose was sound. On
-/// Mango's single 8 KiB-modulus L1 the sweep is long enough that
-/// fast-forward must actually engage.
+/// shape, emitted per element so it folds into a `Repeat`) re-reads it,
+/// then a second RMW pass rewrites it. The planner must either carry the
+/// armed bits through extrapolation exactly or refuse; digest identity
+/// proves whichever it chose was sound. On Mango's single 8 KiB-modulus
+/// L1 the sweep is long enough that fast-forward must actually engage.
 #[test]
 fn armed_handoff_survives_fast_forward() {
     let trace = |sink: &mut dyn TraceSink| {
         let base = 0x5000_0000_0000u64;
         sink.access_strided_rmw(base, 64, 4096, 8);
-        sink.access_strided(base, 64, 1 << 15, 8, false);
+        for i in 0..1u64 << 15 {
+            sink.load(base + i * 64, 8);
+        }
         sink.barrier();
-        // Backward pass over the same lines: negative stride from the
-        // far end, still armed from the RMW prologue.
-        sink.access_strided(base + (1 << 15) * 64 - 64, -64, 1 << 14, 8, true);
+        // Backward pass over the same lines: negative step from the far
+        // end, still armed from the RMW prologue.
+        for i in 0..1u64 << 14 {
+            sink.store(base + (1 << 15) * 64 - 64 - i * 64, 8);
+        }
         sink.access_strided_rmw(base, 8, 4096, 8);
     };
     for device in Device::all() {
@@ -185,7 +206,9 @@ fn armed_handoff_survives_fast_forward() {
 /// Sub-line and zero strides hammer one line (or a handful) per batch —
 /// the degenerate periodicities where an off-by-one in the repeat-line
 /// fast path interaction would hide. Dense deterministic sweep over
-/// every stride in the menu on every TLB-off preset.
+/// every stride in the menu on every TLB-off preset, as batches and as a
+/// per-element loop that folds into a `Repeat`; the zero-stride loop
+/// must fast-forward wherever the executor arms (uncontended DRAM).
 #[test]
 fn degenerate_strides_are_digest_exact() {
     for device in Device::all() {
@@ -196,6 +219,9 @@ fn degenerate_strides_are_digest_exact() {
                 sink.access_strided(base, stride, 5000, 8, false);
                 sink.access_strided_rmw(base + 1024, stride, 2500, 8);
                 sink.access_strided(base, stride, 5000, 4, true);
+                for i in 0..5000 {
+                    sink.load(base.wrapping_add_signed(stride * i), 8);
+                }
             };
             let analytic = Machine::new(spec.clone())
                 .with_analytic(true)
@@ -208,6 +234,12 @@ fn degenerate_strides_are_digest_exact() {
                 replay.stats_digest(),
                 "stride {stride} diverged on {device}"
             );
+            if stride == 0 && !spec.dram.contended {
+                assert!(
+                    analytic.analytic_ops > 0,
+                    "the zero-stride loop must fast-forward on {device}: {analytic:?}"
+                );
+            }
         }
     }
 }

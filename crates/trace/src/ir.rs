@@ -3,9 +3,9 @@
 //! [`TraceOp`] is a compact program representation of the access stream a
 //! kernel emits into a [`TraceSink`]: the three leaf batch shapes the sink
 //! trait already exposes (`Range`, `Strided`, `StridedRmw`), scalar
-//! accesses and compute/barrier markers, plus two structured nodes —
-//! `Seq` for grouping and `Repeat` for a loop nest whose body re-executes
-//! `count` times with a fixed per-iteration address delta per body op.
+//! accesses and compute/barrier markers, plus one structured node —
+//! `Repeat`, a loop nest whose body re-executes `count` times with a
+//! fixed per-iteration address delta per body op.
 //!
 //! The defining invariant is **bit-exactness under replay**: expanding a
 //! `TraceOp` with [`TraceOp::replay`] produces *exactly* the op sequence
@@ -16,10 +16,11 @@
 //! equal to the shifted body op it would replay as — so recording is
 //! lossless by construction, never by approximation.
 //!
-//! The analytic executor in `membound-sim` consumes this IR: `Repeat`
-//! nests (and large leaf batches) whose steady-state behaviour is provable
-//! are fast-forwarded by exact counter multiplication; everything else is
-//! replayed element-by-element through the same sink methods.
+//! The analytic executor in `membound-sim` consumes this IR: a top-level
+//! `Repeat` whose steady-state behaviour is provable is fast-forwarded by
+//! exact counter multiplication; everything else (leaf ops, refused
+//! loops, and nested loops inside any body) is replayed element by
+//! element through the same per-element paths.
 
 use serde::{Deserialize, Serialize};
 
@@ -98,14 +99,12 @@ pub enum TraceOp {
         /// Number of iterations (>= 2 when produced by the recorder).
         count: u64,
     },
-    /// A grouping node; replays its children in order.
-    Seq(Vec<TraceOp>),
 }
 
 impl TraceOp {
     /// The op shifted by `delta` bytes (two's-complement wrapping, the
-    /// same arithmetic as [`strided_addr`]). Structured nodes shift every
-    /// child; `Compute`/`Barrier` are unchanged.
+    /// same arithmetic as [`strided_addr`]). A `Repeat` shifts every body
+    /// op; `Compute`/`Barrier` are unchanged.
     #[must_use]
     pub fn shifted(&self, delta: i64) -> TraceOp {
         if delta == 0 {
@@ -152,7 +151,6 @@ impl TraceOp {
                 steps: steps.clone(),
                 count: *count,
             },
-            TraceOp::Seq(ops) => TraceOp::Seq(ops.iter().map(|op| op.shifted(delta)).collect()),
         }
     }
 
@@ -224,9 +222,6 @@ impl TraceOp {
             ) if steps == osteps && count == ocount && body.len() == obody.len() => {
                 uniform_delta(body, obody)
             }
-            (TraceOp::Seq(ops), TraceOp::Seq(oops)) if ops.len() == oops.len() => {
-                uniform_delta(ops, oops)
-            }
             _ => None,
         }
     }
@@ -267,28 +262,6 @@ impl TraceOp {
                     }
                 }
             }
-            TraceOp::Seq(ops) => {
-                for op in ops {
-                    op.replay(sink);
-                }
-            }
-        }
-    }
-
-    /// Number of leaf ops this node expands to under replay (saturating).
-    /// Structured nodes count their expansion; a leaf counts 1 regardless
-    /// of how many elements it touches.
-    #[must_use]
-    pub fn leaf_count(&self) -> u64 {
-        match self {
-            TraceOp::Repeat { body, count, .. } => body
-                .iter()
-                .fold(0u64, |acc, op| acc.saturating_add(op.leaf_count()))
-                .saturating_mul(*count),
-            TraceOp::Seq(ops) => ops
-                .iter()
-                .fold(0u64, |acc, op| acc.saturating_add(op.leaf_count())),
-            _ => 1,
         }
     }
 
@@ -350,18 +323,6 @@ impl TraceOp {
                 }
                 acc
             }
-            TraceOp::Seq(ops) => {
-                let mut acc: Option<(i128, i128)> = None;
-                for op in ops {
-                    if let Some((lo, hi)) = op.footprint() {
-                        acc = Some(match acc {
-                            Some((alo, ahi)) => (alo.min(lo), ahi.max(hi)),
-                            None => (lo, hi),
-                        });
-                    }
-                }
-                acc
-            }
         }
     }
 
@@ -385,15 +346,9 @@ impl TraceOp {
                     op.tally_at(stats, depth + 1);
                 }
             }
-            TraceOp::Seq(ops) => {
-                stats.seq += 1;
-                for op in ops {
-                    op.tally_at(stats, depth + 1);
-                }
-            }
         }
         stats.expanded_leaves = stats.expanded_leaves.saturating_add(match self {
-            TraceOp::Repeat { .. } | TraceOp::Seq(_) => 0,
+            TraceOp::Repeat { .. } => 0,
             _ => 1,
         });
     }
@@ -426,7 +381,6 @@ pub struct IrStats {
     pub strided: u64,
     pub strided_rmw: u64,
     pub repeat: u64,
-    pub seq: u64,
     /// Deepest nesting level seen (1 for a flat program).
     pub max_depth: u32,
     /// Number of recorded nodes that are leaves (not expansion counts).
@@ -444,7 +398,6 @@ impl IrStats {
             + self.strided
             + self.strided_rmw
             + self.repeat
-            + self.seq
     }
 
     /// Tally every op of `program`.
@@ -856,8 +809,6 @@ mod tests {
             rec.push(op.clone(), &mut program);
         }
         rec.flush(&mut program);
-        let leaves: u64 = program.iter().map(TraceOp::leaf_count).sum();
-        assert_eq!(leaves, ops.len() as u64, "nothing may be lost");
         let mut flat = FlatSink::default();
         for op in &program {
             op.replay(&mut flat);
@@ -963,15 +914,5 @@ mod tests {
         let (lo, hi) = op.footprint().unwrap();
         assert_eq!(lo, 0x10_0000 - 64 * 15);
         assert_eq!(hi, 0x10_0000 + 4096 * 9 + 8);
-    }
-
-    #[test]
-    fn leaf_count_expands_repeats() {
-        let op = TraceOp::Repeat {
-            body: vec![load(0), load(8)],
-            steps: vec![16, 16],
-            count: 100,
-        };
-        assert_eq!(op.leaf_count(), 200);
     }
 }

@@ -586,8 +586,10 @@ struct TraceIrRow {
 /// `trace-ir transpose|blur|stream`: dump the lowered trace IR of a
 /// kernel's core-0 emission — folded node counts, repeat nesting depth,
 /// and the static analytic-coverage estimate (the fraction of expanded
-/// elements inside loops that pass the fast-forward shape gates on the
-/// selected device; 0% where the executor never arms). `--no-tlb`
+/// elements in the whole chunks of top-level loops that pass the
+/// executor's own fast-forward plan on the selected device — lone
+/// batches and nested loops never do; 0% where the executor never
+/// arms). `--no-tlb`
 /// estimates against the device with translation disabled — the only
 /// regime where the executor arms (DESIGN.md §15).
 fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
@@ -686,9 +688,10 @@ fn cmd_trace_ir(kernel: &str, opts: &Opts) -> ExitCode {
     } else {
         println!("trace IR, core 0 emission\n{}", table.render());
         println!(
-            "analytic = static fast-forward coverage estimate (elements in loops\n\
-             passing the shape gates; runtime warm-up can still fall back;\n\
-             0% with translation on or contended DRAM, where it never arms)"
+            "analytic = static fast-forward coverage estimate (elements in the whole\n\
+             chunks of top-level loops that pass the shape gates; runtime warm-up\n\
+             can still fall back; 0% with translation on or contended DRAM,\n\
+             where it never arms)"
         );
     }
     ExitCode::SUCCESS
